@@ -8,19 +8,25 @@ the interned kernel, and the proof cache) warm, and serves streaming
 ``check`` / ``batch-check`` / ``optimize`` requests over a trivial
 newline-delimited JSON protocol (:mod:`repro.serve.protocol`).
 
-Three mechanisms carry the load:
+Four mechanisms carry the load:
 
 * **Persistent sharded store** — with ``store_dir`` set, the pipeline's
   cache is a :class:`~repro.serve.store.StoreProofCache`: an in-memory
   LRU hot tier over the disk-backed, file-locked shard store, so proofs
   survive restarts and are shared by every server process pointed at the
   same directory.
+* **Alias-first answers** — a question asked before (same symmetric
+  syntactic alias) is answered from the proof cache's alias index before
+  any other work: two memo probes and one cache read, no pipeline run,
+  no thread-pool hop.  Such responses carry the ``"alias"`` dedup role
+  and count in ``serve.alias_hits_total``.
 * **In-flight dedup** — identical concurrent questions (same symmetric
   syntactic alias) collapse onto a single pipeline run: the first
   requester becomes the *leader* and computes, later arrivals are
   *followers* that wait on the leader's event and fan in on completion.
   Observable via ``serve.inflight`` (gauge), ``serve.dedup_followers_
-  total``, and ``serve.pipeline_runs_total``.
+  total``, and ``serve.pipeline_runs_total`` (which therefore counts
+  alias misses only).
 * **Persistent worker pool** — leaders dispatch pipeline runs to a
   fixed-size thread pool, bounding concurrent proof search regardless of
   how many connections are open; ``max_inflight`` bounds the number of
@@ -71,6 +77,7 @@ _REQUESTS = counter("serve.requests_total")
 _ERRORS = counter("serve.errors_total")
 _CONNECTIONS = counter("serve.connections_total")
 _PIPELINE_RUNS = counter("serve.pipeline_runs_total")
+_ALIAS_HITS = counter("serve.alias_hits_total")
 _DEDUP_FOLLOWERS = counter("serve.dedup_followers_total")
 _INFLIGHT = gauge("serve.inflight")
 
@@ -339,7 +346,18 @@ class ReproServer:
             values.append(value)
         return values
 
-    # -- in-flight dedup ------------------------------------------------------
+    # -- answering: alias index, then in-flight dedup -------------------------
+
+    def _answer(self, q1, q2, config: Optional[PipelineConfig] = None
+                ) -> Tuple[Verdict, str]:
+        """Answer one compiled question: from the alias index when it was
+        asked before (role ``"alias"``), otherwise via :meth:`_checked`."""
+        key = syntactic_alias(q1, q2)
+        hit = self.pipeline.cache.get_by_alias(key, q1, q2)
+        if hit is not None:
+            _ALIAS_HITS.inc()
+            return hit, "alias"
+        return self._checked(q1, q2, key, config=config)
 
     def _checked(self, q1, q2, key: str,
                  config: Optional[PipelineConfig] = None
@@ -447,8 +465,7 @@ class ReproServer:
         config = self._disprover_config(message)
         started = time.perf_counter()
         q1, q2, _ = self._compile_pair(message, sql1, sql2)
-        verdict, role = self._checked(q1, q2, syntactic_alias(q1, q2),
-                                      config=config)
+        verdict, role = self._answer(q1, q2, config)
         return self._check_result(verdict, role,
                                   time.perf_counter() - started)
 
@@ -468,8 +485,7 @@ class ReproServer:
                                     f"list of strings")
             started = time.perf_counter()
             q1, q2, _ = self._compile_pair(message, pair[0], pair[1])
-            verdict, role = self._checked(q1, q2, syntactic_alias(q1, q2),
-                                          config=config)
+            verdict, role = self._answer(q1, q2, config)
             results.append(self._check_result(
                 verdict, role, time.perf_counter() - started))
         return {"results": results, "total": len(results)}
@@ -533,6 +549,7 @@ class ReproServer:
                 "errors_total": _ERRORS.value,
                 "connections_total": _CONNECTIONS.value,
                 "pipeline_runs_total": _PIPELINE_RUNS.value,
+                "alias_hits_total": _ALIAS_HITS.value,
                 "dedup_followers_total": _DEDUP_FOLLOWERS.value,
                 "shutting_down": self._shutting_down.is_set(),
             },

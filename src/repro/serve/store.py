@@ -31,9 +31,7 @@ Layout of a store directory::
 :class:`~repro.solver.cache.ProofCache` (so the untouched
 :class:`~repro.solver.pipeline.Pipeline` probes and fills it) whose hot
 tier is the bounded in-memory LRU and whose misses fall through to —
-and whose inserts write through to — the shard store.  It is
-thread-safe, which the plain ``ProofCache`` is not, because the serve
-daemon checks queries from many handler threads at once.
+and whose inserts write through to — the shard store.
 """
 
 from __future__ import annotations
@@ -315,7 +313,7 @@ class ShardedProofStore:
 
 
 class StoreProofCache(ProofCache):
-    """A thread-safe :class:`ProofCache` whose cold tier is a shard store.
+    """A :class:`ProofCache` whose cold tier is a shard store.
 
     Drop-in for the pipeline: probes hit the bounded in-memory LRU first
     (the hot tier this class inherits), fall through to the shard store
@@ -323,14 +321,14 @@ class StoreProofCache(ProofCache):
     write-back), and inserts write through to disk so every other
     process sharing the store directory profits.  ``hits``/``misses``
     count the layered result — a disk hit is a cache hit, exactly one
-    count per probe.
+    count per probe.  An alias stays live while its record is on disk,
+    so a re-ask whose entry left the hot tier still skips the pipeline.
     """
 
     def __init__(self, store: ShardedProofStore,
                  max_size: int = 4096) -> None:
         super().__init__(max_size=max_size)
         self._store = store
-        self._tier_lock = threading.RLock()
 
     @property
     def store(self) -> ShardedProofStore:
@@ -338,38 +336,18 @@ class StoreProofCache(ProofCache):
 
     # -- layered lookups ------------------------------------------------------
 
-    def get(self, fingerprint: str) -> Optional[Verdict]:
-        with self._tier_lock:
-            entry = self._entries.get(fingerprint)
+    def _resident(self, fingerprint: str) -> Optional[Verdict]:
+        entry = super()._resident(fingerprint)
+        if entry is None:
+            entry = self._store.read(fingerprint)
             if entry is not None:
-                self._entries.move_to_end(fingerprint)
-                self.hits += 1
-                counter("proofcache.hits_total").inc()
-                return self._copy_as_cached(entry)
-            verdict = self._store.read(fingerprint)
-            if verdict is not None:
                 # Promote into the hot tier only — the record is already
                 # on disk, a write-back would just grow the segment.
-                ProofCache.put(self, fingerprint, verdict)
-                self.hits += 1
-                counter("proofcache.hits_total").inc()
-                return self._copy_as_cached(verdict)
-            self.misses += 1
-            counter("proofcache.misses_total").inc()
-            return None
-
-    def get_by_alias(self, alias: str) -> Optional[Verdict]:
-        with self._tier_lock:
-            # Unlike the plain cache, an alias whose entry left the hot
-            # tier is not dangling — the record usually still lives on
-            # disk, so fall through to the layered probe.
-            fingerprint = self._aliases.get(alias)
-            if fingerprint is None:
-                return None
-            return self.get(fingerprint)
+                ProofCache.put(self, fingerprint, entry)
+        return entry
 
     def __contains__(self, fingerprint: str) -> bool:
-        with self._tier_lock:
+        with self._lock:
             return (fingerprint in self._entries
                     or fingerprint in self._store)
 
@@ -377,16 +355,8 @@ class StoreProofCache(ProofCache):
 
     def put(self, fingerprint: str, verdict: Verdict,
             alias: Optional[str] = None) -> None:
-        with self._tier_lock:
-            ProofCache.put(self, fingerprint, verdict, alias=alias)
+        ProofCache.put(self, fingerprint, verdict, alias=alias)
         self._store.append(fingerprint, verdict)
-
-    def register_alias(self, alias: str, fingerprint: str) -> None:
-        with self._tier_lock:
-            # The entry may live only on disk; the plain implementation
-            # would drop the alias when the hot tier lacks it.
-            if fingerprint in self._entries or fingerprint in self._store:
-                self._aliases[alias] = fingerprint
 
     # -- persistence ----------------------------------------------------------
 
@@ -395,7 +365,7 @@ class StoreProofCache(ProofCache):
         return self._store.root
 
     def stats(self) -> Dict[str, Any]:
-        with self._tier_lock:
+        with self._lock:
             return {
                 "hot_entries": len(self._entries),
                 "hot_max_size": self.max_size,

@@ -426,6 +426,8 @@ class Session:
         self._service: Optional[VerificationService] = None
         #: token-stream key (or raw text for unlexable input) → handle.
         self._handles: Dict[object, QueryHandle] = {}
+        #: exact SQL text → handle: a repeated text skips tokenizing.
+        self._by_text: Dict[str, QueryHandle] = {}
         #: canonical "R(a:int,b:int)" specs, in declaration order — the
         #: catalog a remote session forwards with every request.
         self._table_specs: List[str] = []
@@ -507,11 +509,15 @@ class Session:
         """Compile SQL to a memoized :class:`QueryHandle`.
 
         Repeated calls with the same query text return the *same* handle
-        (keyed on the token stream, so formatting differences collapse
-        but string-literal contents are respected) and its memoized
-        normal form is shared across every use site.
+        (an exact repeat is a dict probe; other texts are keyed on the
+        token stream, so formatting differences collapse but
+        string-literal contents are respected) and its memoized normal
+        form is shared across every use site.
         """
         self._ensure_open()
+        handle = self._by_text.get(text)
+        if handle is not None:
+            return handle
         try:
             key = tuple((t.kind, t.text) for t in tokenize(text))
         except ReproError:
@@ -520,6 +526,7 @@ class Session:
         if handle is None:
             handle = QueryHandle(self, text, compile_sql(text, self.catalog))
             self._handles[key] = handle
+        self._by_text[text] = handle
         return handle
 
     @property

@@ -10,7 +10,10 @@ Sorting the two keys makes the fingerprint symmetric (equivalence is), and
 using the *alpha* keys makes the cache hit on alpha-equivalent — not merely
 textually identical — queries.  A secondary **alias index** maps cheap
 syntactic keys (e.g. the SQL pair a batch job carries) onto fingerprints,
-so a warm batch run answers without even normalizing.
+so a warm batch run or a served re-ask answers without even normalizing.
+Each alias also records the orientation of the pair that registered it,
+so an alias hit re-orients a counterexample by normal form, exactly as a
+fingerprint hit does.
 
 The cache is a bounded in-memory LRU with optional JSON persistence, which
 is what lets a long-running verification service amortize proof effort
@@ -23,8 +26,9 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..core.equivalence import Hypotheses
 from ..core.intern import KernelLRU
@@ -129,10 +133,13 @@ def syntactic_alias(q1, q2, ctx_schema=None,
                     hyps: Hypotheses = None) -> str:
     """A cheap symmetric key over the *un-normalized* question.
 
+    Built from the memoized :func:`query_side_digest` of each side, so a
+    query object asked about again (the serve daemon's compiled-query
+    memo, a session handle) costs two memo probes, not two renderings.
     Distinct aliases may share a fingerprint (alpha-equivalent inputs);
     the alias index only ever short-circuits work, never changes answers.
     """
-    k1, k2 = repr(q1), repr(q2)
+    k1, k2 = query_side_digest(q1), query_side_digest(q2)
     if k2 < k1:
         k1, k2 = k2, k1
     extra = f"|{ctx_schema!r}|{hyps!r}"
@@ -140,8 +147,40 @@ def syntactic_alias(q1, q2, ctx_schema=None,
                           .encode("utf-8")).hexdigest()
 
 
+def _alias_tag(fingerprint: str, verdict: Verdict) -> Tuple[str, str, str]:
+    """What the alias index stores: the fingerprint plus the registering
+    caller's lhs digests (by repr and by normal form)."""
+    return (fingerprint, verdict.lhs_repr_digest, verdict.lhs_norm_digest)
+
+
+def _oriented_alias_hit(verdict: Verdict, tag: Tuple[str, str, str],
+                        q1, q2) -> Verdict:
+    """A cached record re-oriented for a caller asking (q1, q2).
+
+    The alias is symmetric, so the caller's q1 is either the registering
+    caller's lhs (same repr digest) or its rhs.  The registering lhs's
+    normal-form digest then says whether the caller's lhs is the
+    record's lhs: the record may have been produced by an alpha-variant
+    pair, whose reprs say nothing about this one.
+    """
+    _, lhs_repr, lhs_norm = tag
+    caller_lhs = query_side_digest(q1)
+    same_side = caller_lhs == lhs_repr
+    if verdict.counterexample is not None and lhs_norm \
+            and verdict.lhs_norm_digest \
+            and (lhs_norm == verdict.lhs_norm_digest) != same_side:
+        verdict = verdict.swapped()
+    verdict.lhs_norm_digest = lhs_norm if same_side else ""
+    verdict.lhs_repr_digest = caller_lhs
+    verdict.rhs_repr_digest = query_side_digest(q2)
+    return verdict
+
+
 class ProofCache:
     """Bounded LRU of fingerprint → :class:`Verdict`, with persistence.
+
+    Thread-safe: the serve daemon probes it from connection threads while
+    its worker pool inserts.
 
     Args:
         max_size: LRU capacity (entries beyond it evict oldest-used).
@@ -155,8 +194,13 @@ class ProofCache:
             raise ValueError("cache max_size must be positive")
         self.max_size = max_size
         self.path = path
+        self._lock = threading.RLock()
         self._entries: "OrderedDict[str, Verdict]" = OrderedDict()
-        self._aliases: Dict[str, str] = {}
+        #: alias → (fingerprint, registering lhs repr digest, registering
+        #: lhs normal-form digest); see :func:`_oriented_alias_hit`.
+        self._aliases: Dict[str, Tuple[str, str, str]] = {}
+        #: alias-index size that triggers the next sweep of dead aliases.
+        self._alias_sweep_at = 2 * max_size
         self.hits = 0
         self.misses = 0
         if path is not None and os.path.exists(path):
@@ -181,35 +225,53 @@ class ProofCache:
 
     # -- lookups ------------------------------------------------------------
 
+    def _resident(self, fingerprint: str) -> Optional[Verdict]:
+        """The stored record for a fingerprint, marked most recently used
+        (None when absent).  Called with the lock held; a layered cache
+        overrides it to fall through to its cold tier."""
+        entry = self._entries.get(fingerprint)
+        if entry is not None:
+            self._entries.move_to_end(fingerprint)
+        return entry
+
     def get(self, fingerprint: str) -> Optional[Verdict]:
         """Cached verdict for a fingerprint (counts toward hit rate)."""
-        entry = self._entries.get(fingerprint)
-        if entry is None:
-            self.misses += 1
-            _MISSES.inc()
-            return None
-        self._entries.move_to_end(fingerprint)
-        self.hits += 1
-        _HITS.inc()
-        return self._copy_as_cached(entry)
+        with self._lock:
+            entry = self._resident(fingerprint)
+            if entry is None:
+                self.misses += 1
+                _MISSES.inc()
+                return None
+            self.hits += 1
+            _HITS.inc()
+            return self._copy_as_cached(entry)
 
-    def get_by_alias(self, alias: str) -> Optional[Verdict]:
+    def get_by_alias(self, alias: str, q1=None, q2=None) -> Optional[Verdict]:
         """Cached verdict for a syntactic alias, if ever registered.
+
+        With the caller's queries given, the verdict comes back oriented
+        for (q1, q2): counterexample sides and orientation tags follow the
+        caller, not whichever pair first registered the alias.  Without
+        them the record is returned as stored.
 
         Misses here are *not* counted: an alias miss normally precedes a
         fingerprint probe for the same question, and double-counting would
         understate the hit rate.
         """
-        fingerprint = self._aliases.get(alias)
-        if fingerprint is None:
-            return None
-        if fingerprint not in self._entries:
-            del self._aliases[alias]  # lazily prune a dangling alias
-            return None
-        self._entries.move_to_end(fingerprint)
-        self.hits += 1
-        _HITS.inc()
-        return self._copy_as_cached(self._entries[fingerprint])
+        with self._lock:
+            tag = self._aliases.get(alias)
+            if tag is None:
+                return None
+            entry = self._resident(tag[0])
+            if entry is None:
+                self._aliases.pop(alias, None)  # lazily prune a dead alias
+                return None
+            self.hits += 1
+            _HITS.inc()
+            verdict = self._copy_as_cached(entry)
+        if q1 is None:
+            return verdict
+        return _oriented_alias_hit(verdict, tag, q1, q2)
 
     @staticmethod
     def _copy_as_cached(entry: Verdict) -> Verdict:
@@ -222,33 +284,49 @@ class ProofCache:
 
     def put(self, fingerprint: str, verdict: Verdict,
             alias: Optional[str] = None) -> None:
-        """Store a verdict (serialization-safe part only) under its key."""
+        """Store a verdict (serialization-safe part only) under its key.
+
+        ``alias`` is registered with the verdict's lhs orientation tags,
+        which must describe the pair the alias was computed from.
+        """
         stored = Verdict.from_dict(verdict.to_dict())
         stored.fingerprint = fingerprint
-        self._entries[fingerprint] = stored
-        self._entries.move_to_end(fingerprint)
-        if alias is not None:
-            self._aliases[alias] = fingerprint
-        while len(self._entries) > self.max_size:
-            self._entries.popitem(last=False)
-            _EVICTIONS.inc()
-        _ENTRIES.set(len(self._entries))
-        # Dangling aliases are pruned lazily on lookup; a bulk sweep only
-        # runs when the index has clearly outgrown the entries it serves.
-        if len(self._aliases) > 2 * self.max_size:
-            self._aliases = {a: f for a, f in self._aliases.items()
-                             if f in self._entries}
+        with self._lock:
+            self._entries[fingerprint] = stored
+            self._entries.move_to_end(fingerprint)
+            if alias is not None:
+                self._aliases[alias] = _alias_tag(fingerprint, verdict)
+            while len(self._entries) > self.max_size:
+                self._entries.popitem(last=False)
+                _EVICTIONS.inc()
+            _ENTRIES.set(len(self._entries))
+            # Dead aliases are pruned lazily on lookup; a bulk sweep runs
+            # only once the index has doubled since the last one, so its
+            # cost (a cold-tier probe per alias, in a layered cache)
+            # stays amortized O(1) per insert.
+            if len(self._aliases) > self._alias_sweep_at:
+                self._aliases = {a: tag for a, tag in self._aliases.items()
+                                 if tag[0] in self}
+                self._alias_sweep_at = max(2 * self.max_size,
+                                           2 * len(self._aliases))
 
-    def register_alias(self, alias: str, fingerprint: str) -> None:
-        if fingerprint in self._entries:
-            self._aliases[alias] = fingerprint
+    def register_alias(self, alias: str, verdict: Verdict) -> None:
+        """Point ``alias`` at the cached record ``verdict`` answered from
+        (``verdict`` carries the fingerprint and the lhs orientation of
+        the pair the alias was computed from)."""
+        with self._lock:
+            if verdict.fingerprint in self:
+                self._aliases[alias] = _alias_tag(verdict.fingerprint,
+                                                  verdict)
 
     def clear(self) -> None:
-        self._entries.clear()
-        self._aliases.clear()
-        self.hits = 0
-        self.misses = 0
-        _ENTRIES.set(0)
+        with self._lock:
+            self._entries.clear()
+            self._aliases.clear()
+            self._alias_sweep_at = 2 * self.max_size
+            self.hits = 0
+            self.misses = 0
+            _ENTRIES.set(0)
 
     # -- persistence --------------------------------------------------------
 
@@ -268,7 +346,8 @@ class ProofCache:
         path = path or self.path
         if path is None:
             raise ValueError("no persistence path configured")
-        with span("proofcache.save", entries=len(self._entries)):
+        with self._lock, span("proofcache.save",
+                              entries=len(self._entries)):
             directory = os.path.dirname(os.path.abspath(path))
             os.makedirs(directory, exist_ok=True)
             with file_lock(path):
@@ -280,10 +359,11 @@ class ProofCache:
                     merged[fp] = verdict.to_dict()
                 while len(merged) > self.max_size:
                     merged.popitem(last=False)
-                aliases = {a: f for a, f in disk_aliases.items()
-                           if f in merged}
-                aliases.update((a, f) for a, f in self._aliases.items()
-                               if f in merged)
+                aliases = {a: list(tag) for a, tag in disk_aliases.items()
+                           if tag[0] in merged}
+                aliases.update((a, list(tag))
+                               for a, tag in self._aliases.items()
+                               if tag[0] in merged)
                 payload = {
                     "version": 1,
                     "entries": [[fp, data] for fp, data in merged.items()],
@@ -320,7 +400,7 @@ class ProofCache:
         aliases = payload.get("aliases", {})
         if not isinstance(entries, list) or not isinstance(aliases, dict):
             return [], {}
-        return entries, aliases
+        return entries, _tagged_aliases(aliases)
 
     def load(self, path: Optional[str] = None) -> int:
         """Merge entries from a JSON file; returns how many were loaded.
@@ -342,27 +422,40 @@ class ProofCache:
             raise ValueError(f"unsupported cache file version in {path!r}")
         loaded = 0
         fresh: "OrderedDict[str, Verdict]" = OrderedDict()
-        for fingerprint, data in payload.get("entries", []):
-            if fingerprint in self._entries:
-                continue  # the warm in-memory verdict wins
-            verdict = Verdict.from_dict(data)
-            verdict.fingerprint = fingerprint
-            fresh[fingerprint] = verdict
-            loaded += 1
-        # Disk history first (coldest), then the existing working set in
-        # its current recency order (warmest last).
-        fresh.update(self._entries)
-        self._entries = fresh
-        for alias, fingerprint in payload.get("aliases", {}).items():
-            if fingerprint in self._entries:
-                self._aliases.setdefault(alias, fingerprint)
-        while len(self._entries) > self.max_size:
-            self._entries.popitem(last=False)
-            _EVICTIONS.inc()
-        _ENTRIES.set(len(self._entries))
+        with self._lock:
+            for fingerprint, data in payload.get("entries", []):
+                if fingerprint in self._entries:
+                    continue  # the warm in-memory verdict wins
+                verdict = Verdict.from_dict(data)
+                verdict.fingerprint = fingerprint
+                fresh[fingerprint] = verdict
+                loaded += 1
+            # Disk history first (coldest), then the existing working set
+            # in its current recency order (warmest last).
+            fresh.update(self._entries)
+            self._entries = fresh
+            for alias, tag in _tagged_aliases(
+                    payload.get("aliases", {})).items():
+                if tag[0] in self._entries:
+                    self._aliases.setdefault(alias, tag)
+            while len(self._entries) > self.max_size:
+                self._entries.popitem(last=False)
+                _EVICTIONS.inc()
+            _ENTRIES.set(len(self._entries))
         _LOADS.inc(loaded)
         _log.debug("loaded %d cache entries from %s", loaded, path)
         return loaded
+
+
+def _tagged_aliases(raw: Dict) -> Dict[str, Tuple[str, str, str]]:
+    """The well-formed ``alias: [fingerprint, lhs repr digest, lhs norm
+    digest]`` items of a persisted alias index.  Anything else — notably
+    the untagged ``alias: fingerprint`` items older files carry — is
+    dropped: an alias is only a shortcut, and one that cannot orient its
+    answer is worse than none."""
+    return {alias: tuple(tag) for alias, tag in raw.items()
+            if isinstance(tag, list) and len(tag) == 3
+            and all(isinstance(part, str) for part in tag)}
 
 
 __all__ = ["ProofCache", "digest_of_key", "fingerprint_from_keys",

@@ -328,7 +328,7 @@ class Pipeline:
             hit.timings = dict(timings)
             hit.kernel_counters = _kernel_counters(norm_before)
             if alias is not None:
-                self.cache.register_alias(alias, fingerprint)
+                self.cache.register_alias(alias, hit)
             _observe_verdict(hit)
             return hit
 

@@ -206,7 +206,8 @@ class VerificationService:
             pending: List[Job] = []
             cache_hits = 0
             for alias in order:
-                hit = self.cache.get_by_alias(alias)
+                first = groups[alias][0]
+                hit = self.cache.get_by_alias(alias, first.q1, first.q2)
                 if hit is not None:
                     answers[alias] = hit
                     cache_hits += 1
@@ -239,9 +240,10 @@ class VerificationService:
                         job_metrics[job.alias()] = diff_snapshots(
                             before, REGISTRY.snapshot())
 
-            # Per-job orientation: a group may contain both (Q1, Q2) and
-            # its mirror (Q2, Q1); counterexample side labels follow each
-            # job.
+            # Per-job orientation: every answer is oriented for its
+            # group's first job (alias hits by the cache, computed ones by
+            # the pipeline), but a group may also hold that job's mirror
+            # (Q2, Q1), whose lhs repr matches the answer's rhs tag.
             verdicts = {
                 job.job_id: answers[alias].oriented_for(
                     repr_digest=query_side_digest(job.q1))
@@ -268,7 +270,7 @@ class VerificationService:
                 alias = syntactic_alias(rule.lhs, rule.rhs, rule.ctx_schema,
                                         rule.hypotheses)
                 aliases[rule.name] = alias
-                hit = self.cache.get_by_alias(alias)
+                hit = self.cache.get_by_alias(alias, rule.lhs, rule.rhs)
                 if hit is not None:
                     answers[alias] = hit
                     cache_hits += 1

@@ -226,13 +226,24 @@ class Verdict:
                 and repr_digest != self.lhs_repr_digest
         if not swap:
             return self
-        copy = Verdict(**{**self.__dict__,
-                          "counterexample": self.counterexample.swap_sides(),
-                          "lhs_norm_digest": norm_digest or "",
+        copy = self.swapped()
+        copy.lhs_norm_digest = norm_digest or ""
+        return copy
+
+    def swapped(self) -> "Verdict":
+        """This verdict from the mirrored (Q2, Q1) orientation.
+
+        Counterexample sides and repr tags trade places; the lhs
+        normal-form tag is cleared, since the rhs's is not recorded.
+        """
+        return Verdict(**{**self.__dict__,
+                          "counterexample": (
+                              None if self.counterexample is None
+                              else self.counterexample.swap_sides()),
+                          "lhs_norm_digest": "",
                           "lhs_repr_digest": self.rhs_repr_digest,
                           "rhs_repr_digest": self.lhs_repr_digest,
                           "live_counterexample": None})
-        return copy
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -191,3 +191,59 @@ class TestSharedStore:
             assert warm.cached  # answered from the shard store
         finally:
             second.shutdown()
+
+
+class TestAliasFirst:
+    """A question asked before is answered from the alias index: no
+    pipeline run, role ``"alias"``, the first answer's verdict."""
+
+    @staticmethod
+    def _counts(server):
+        stats = server._op_stats({})["server"]
+        return stats["pipeline_runs_total"], stats["alias_hits_total"]
+
+    def test_reask_skips_the_pipeline(self, server, client):
+        lhs, rhs = "SELECT a FROM R", "SELECT b FROM R"
+        first = client.check_detail(lhs, rhs)
+        cx = first["verdict"]["counterexample"]["disagreements"]
+        runs, alias_hits = self._counts(server)
+
+        plain = client.check_detail(lhs, rhs)
+        mirrored = client.check_detail(rhs, lhs)
+        batch = client.request("batch-check", pairs=[[lhs, rhs], [rhs, lhs]],
+                               tables=TABLES)["results"]
+
+        assert self._counts(server) == (runs, alias_hits + 4)
+        for result in (plain, mirrored, *batch):
+            assert result["dedup"] == "alias"
+            assert result["cached"] is True
+            assert (result["status"], result["stage"]) == \
+                (first["status"], first["stage"])
+        for result in (plain, batch[0]):
+            assert result["verdict"]["counterexample"]["disagreements"] \
+                == cx
+        for result in (mirrored, batch[1]):
+            assert result["verdict"]["counterexample"]["disagreements"] \
+                == [[row, right, left] for row, left, right in cx]
+
+    def test_alias_hit_of_alpha_variant_pair_keeps_orientation(self):
+        # B is A mirrored with each UNION reordered: same fingerprint,
+        # different reprs, so B's re-ask reads a record A produced.
+        a = ("SELECT a FROM R UNION ALL SELECT a FROM S",
+             "SELECT b FROM R UNION ALL SELECT b FROM S")
+        b = ("SELECT b FROM S UNION ALL SELECT b FROM R",
+             "SELECT a FROM S UNION ALL SELECT a FROM R")
+        tables = ["R(a:int,b:int)", "S(a:int,b:int)"]
+        with ReproServer(port=0, tables=tables) as srv:
+            srv.start()
+            with ServeClient(srv.address) as cli:
+                first = cli.check_detail(*a)
+                second = cli.check_detail(*b)
+                reask = cli.check_detail(*b)
+        cx = first["verdict"]["counterexample"]["disagreements"]
+        assert first["status"] == "DISPROVED"
+        assert second["verdict"]["counterexample"]["disagreements"] == \
+            [[row, right, left] for row, left, right in cx]
+        assert reask["dedup"] == "alias"
+        assert reask["verdict"]["counterexample"] == \
+            second["verdict"]["counterexample"]

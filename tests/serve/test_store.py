@@ -153,6 +153,37 @@ class TestStoreProofCache:
             cache.put(fp, _verdict(fp))
         assert cache.get_by_alias("the-alias") is not None
 
+    def test_alias_outlives_hot_tier_across_many_aliased_puts(self,
+                                                              tmp_path):
+        # More than 2 x hot_size aliased puts force alias-index sweeps;
+        # an alias whose record lives only on disk must survive them.
+        cache = StoreProofCache(ShardedProofStore(str(tmp_path)),
+                                max_size=2)
+        fps = [f"{i:064x}" for i in range(12)]
+        cache.put(fps[0], _verdict(fps[0]), alias="the-alias")
+        for i, fp in enumerate(fps[1:]):
+            cache.put(fp, _verdict(fp), alias=f"alias-{i}")
+        assert fps[0] not in cache._entries  # evicted from the hot tier
+        hit = cache.get_by_alias("the-alias")
+        assert hit is not None and hit.fingerprint == fps[0]
+
+    def test_alias_sweeps_are_amortized(self, tmp_path, monkeypatch):
+        # A sweep probes the store once per alias; it must rerun only
+        # after the index doubles, not on every put past the threshold.
+        store = ShardedProofStore(str(tmp_path))
+        cache = StoreProofCache(store, max_size=2)
+        probes = []
+        contains = ShardedProofStore.__contains__
+        monkeypatch.setattr(ShardedProofStore, "__contains__",
+                            lambda self, fp: probes.append(fp)
+                            or contains(self, fp))
+        n = 200
+        for i in range(n):
+            fp = f"{i:064x}"
+            cache.put(fp, _verdict(fp), alias=f"alias-{i}")
+        assert len(cache._aliases) == n
+        assert len(probes) < 2 * n
+
     def test_save_is_a_noop(self, tmp_path):
         cache = StoreProofCache(ShardedProofStore(str(tmp_path)))
         assert cache.save() == os.path.abspath(str(tmp_path))

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.session as session_mod
 import repro.solver.pipeline as pipeline_mod
 from repro import Catalog, INT, Session, SessionError, Status, TableSpecError
 from repro.session import parse_table_spec
@@ -19,6 +20,18 @@ class TestCompile:
         h1 = session.sql("SELECT a FROM R")
         h2 = session.sql("SELECT a FROM R")
         assert h1 is h2
+
+    def test_repeated_text_skips_tokenizing(self, session, monkeypatch):
+        calls = []
+        tokenize = session_mod.tokenize
+        monkeypatch.setattr(session_mod, "tokenize",
+                            lambda text: calls.append(text)
+                            or tokenize(text))
+        h1 = session.sql("SELECT b FROM R")
+        h2 = session.sql("SELECT b FROM R")
+        assert h1 is h2
+        assert calls == ["SELECT b FROM R"]
+        assert session.handles.count(h1) == 1
 
     def test_whitespace_insensitive_memoization(self, session):
         h1 = session.sql("SELECT a FROM R")

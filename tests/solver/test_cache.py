@@ -1,5 +1,9 @@
 """Content-addressed proof cache: fingerprints, LRU, persistence."""
 
+import json
+import sys
+import threading
+
 import pytest
 
 from repro.core.denote import denote_closed
@@ -129,6 +133,32 @@ class TestPersistence:
         assert warm.disproved
         assert warm.counterexample == cold.counterexample
 
+    def test_alias_tags_survive_roundtrip(self, tmp_path, catalog):
+        path = str(tmp_path / "cache.json")
+        q1 = compile_sql("SELECT a FROM R", catalog).query
+        q2 = compile_sql("SELECT b FROM R", catalog).query
+        alias = syntactic_alias(q1, q2)
+        pipeline = Pipeline(cache_path=path)
+        cold = pipeline.check(q1, q2, alias=alias)
+        pipeline.cache.save()
+        ProofCache().save(path)  # merge-on-save keeps the disk tags
+        cache = ProofCache(path=path)
+        assert cache.get_by_alias(alias, q1, q2).counterexample == \
+            cold.counterexample
+        assert cache.get_by_alias(alias, q2, q1).counterexample == \
+            cold.counterexample.swap_sides()
+
+    def test_untagged_aliases_are_dropped_on_load(self, tmp_path):
+        path = str(tmp_path / "cache.json")
+        fp = "f" * 64
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"version": 1,
+                       "entries": [[fp, _verdict(fp).to_dict()]],
+                       "aliases": {"old-alias": fp}}, handle)
+        cache = ProofCache(path=path)
+        assert fp in cache
+        assert cache.get_by_alias("old-alias") is None
+
     def test_save_without_path_is_an_error(self):
         with pytest.raises(ValueError):
             ProofCache().save()
@@ -199,6 +229,47 @@ class TestLoadMerge:
         warm.put("w2", _verdict("w2"))  # overflow: d1 must go, not w1
         assert "d1" not in warm
         assert "w1" in warm and "w2" in warm
+
+
+class TestThreadSafety:
+    def test_concurrent_probes_and_puts_lose_no_counts(self):
+        # Connection threads probe while pool threads put (the serve
+        # daemon); every probe must be counted exactly once.
+        cache = ProofCache(max_size=16)
+        found, missed, errors = [0] * 8, [0] * 8, []
+
+        def worker(slot):
+            try:
+                for i in range(300):
+                    fp = f"{slot}-{i}"
+                    cache.put(fp, _verdict(fp), alias=f"alias-{fp}")
+                    for probe in (cache.get(fp),
+                                  cache.get(f"{slot}-{i // 2}"),
+                                  cache.get_by_alias(f"alias-{slot}-{i // 3}")):
+                        if probe is None:
+                            missed[slot] += 1
+                        else:
+                            found[slot] += 1
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(slot,))
+                       for slot in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert cache.hits == sum(found)
+        # Alias misses are not counted (a fingerprint probe follows).
+        assert cache.misses <= sum(missed)
+        assert len(cache) <= cache.max_size
 
 
 class TestConcurrentSave:

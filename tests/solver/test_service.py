@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.schema import INT
 from repro.rules import all_buggy_rules, all_rules
+from repro.session import Session
 from repro.solver import Job, Status, VerificationService
 from repro.sql import Catalog, compile_sql
 
@@ -94,6 +95,33 @@ class TestBatch:
                                      workers=1)
         assert second.verdicts["j2"].counterexample.disagreements \
             == first.verdicts["j1"].counterexample.disagreements
+
+    def test_alias_hit_of_alpha_variant_pair_keeps_orientation(self):
+        # B is A mirrored with each UNION reordered: same fingerprint,
+        # different reprs.  B's re-ask is an alias hit on a record A
+        # produced; its counterexample must still follow B's order
+        # (regression: the repr tags of A's record cannot tell).
+        a = ("SELECT a FROM R UNION ALL SELECT a FROM S",
+             "SELECT b FROM R UNION ALL SELECT b FROM S")
+        b = ("SELECT b FROM S UNION ALL SELECT b FROM R",
+             "SELECT a FROM S UNION ALL SELECT a FROM R")
+        with Session.from_tables("R(a:int,b:int)", "S(a:int,b:int)") as s:
+            def ask(name, pair):
+                job = Job(name, s.sql(pair[0]).query, s.sql(pair[1]).query)
+                return s.check_batch([job], workers=1)
+
+            first = ask("a", a).verdicts["a"]
+            via_pipeline = ask("b", b).verdicts["b"]
+            reask = ask("b", b)
+            mirrored = ask("b2", b[::-1]).verdicts["b2"]
+        cx = first.counterexample.disagreements
+        assert first.disproved
+        assert via_pipeline.counterexample.disagreements == \
+            tuple((row, right, left) for row, left, right in cx)
+        assert reask.cache_hits == 1
+        assert reask.verdicts["b"].counterexample.disagreements == \
+            via_pipeline.counterexample.disagreements
+        assert mirrored.counterexample.disagreements == cx
 
     def test_unknown_worker_verdicts_not_cached(self, queries):
         # Same policy as Pipeline.check: a later run with a bigger budget
