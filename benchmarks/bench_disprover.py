@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Compiled, sharded bounded-disprover benchmarks.
+"""Compiled bounded-disprover benchmarks.
 
 Measures the PR 10 disprover against the PR 9 baseline on one grid of
 bounded-exhaustive searches, under **both** term-kernel backends:
@@ -7,17 +7,13 @@ bounded-exhaustive searches, under **both** term-kernel backends:
 * **interpreter** — ``use_compiled=False``: the tree-walking Figure-7
   evaluator with the PR 9 analysis prunes on.  This is exactly the
   search the previous PR shipped.
-* **compiled** — ``use_compiled=True, workers=1``: the flat-program
-  evaluator over cached struct-of-arrays instance batches.
-* **parallel** — ``use_compiled=True, workers=4``: the compiled search
-  sharded across a process pool (witness must be bit-identical to the
-  serial rows; pool startup amortizes only on large grids, so its wall
-  is recorded but not gated).
+* **compiled** — ``use_compiled=True``: the flat-program evaluator
+  over cached struct-of-arrays instance batches.
 
 The grid mixes witness-producing pairs (DISTINCT vs not over a join —
 the counterexample needs duplicate join output, deep in the
 enumeration order) with equivalent pairs (the search must exhaust the
-entire instance space).  All three configurations must agree exactly on
+entire instance space).  Both configurations must agree exactly on
 (found, witness index, instances checked, exhausted) for every pair —
 the differential guarantee — and the compiled row must beat the
 interpreter row by :data:`DISPROVER_SPEEDUP_TARGET` in full mode.
@@ -97,22 +93,16 @@ def _run_backend(smoke, catalog):
     pairs = _corpus(smoke)
     interp = _run_grid(pairs, catalog, use_compiled=False)
     compiled = _run_grid(pairs, catalog, use_compiled=True)
-    parallel = _run_grid(pairs, catalog, use_compiled=True, workers=4)
-    mismatches = sum(1 for a, b, c in zip(interp["rows"], compiled["rows"],
-                                          parallel["rows"])
-                     if not (a == b == c))
+    mismatches = sum(1 for a, b in zip(interp["rows"], compiled["rows"])
+                     if a != b)
     return {
         "pairs": len(pairs),
         "interp_seconds": interp["wall_seconds"],
         "compiled_seconds": compiled["wall_seconds"],
-        "parallel_seconds": parallel["wall_seconds"],
         "instances": interp["instances"],
         "compiled_speedup": (interp["wall_seconds"]
                              / compiled["wall_seconds"]
                              if compiled["wall_seconds"] else float("inf")),
-        "parallel_speedup": (interp["wall_seconds"]
-                             / parallel["wall_seconds"]
-                             if parallel["wall_seconds"] else float("inf")),
         "verdict_mismatches": mismatches,
         "rows": interp["rows"],
     }
@@ -141,7 +131,7 @@ def check(result, smoke):
         if row["verdict_mismatches"]:
             failures.append(
                 f"disprover[{backend}]: {row['verdict_mismatches']} "
-                f"pair(s) where interpreter / compiled / parallel "
+                f"pair(s) where interpreter / compiled "
                 f"disagree on the verdict or witness")
         if not smoke and row["compiled_speedup"] < DISPROVER_SPEEDUP_TARGET:
             failures.append(
@@ -167,9 +157,7 @@ def main(argv=None):
                   f"{row['pairs']} pairs — interp "
                   f"{row['interp_seconds'] * 1e3:.0f} ms, compiled "
                   f"{row['compiled_seconds'] * 1e3:.0f} ms "
-                  f"({row['compiled_speedup']:.1f}x), parallel(4) "
-                  f"{row['parallel_seconds'] * 1e3:.0f} ms "
-                  f"({row['parallel_speedup']:.1f}x), "
+                  f"({row['compiled_speedup']:.1f}x), "
                   f"{row['verdict_mismatches']} mismatch(es)")
     failures = check(result, args.smoke)
     for message in failures:

@@ -358,7 +358,7 @@ def check_analysis(result, smoke):
 
 
 # ---------------------------------------------------------------------------
-# Tracked workload H: compiled, sharded bounded disprover
+# Tracked workload H: compiled bounded disprover
 # ---------------------------------------------------------------------------
 
 def run_disprover(smoke):
@@ -374,9 +374,7 @@ def check_disprover(result, smoke):
         print(f"  {'disprover[' + backend + ']':<22} "
               f"{row['interp_seconds'] * 1e3:9.1f} ms interp   "
               f"compiled {row['compiled_seconds'] * 1e3:.1f} ms "
-              f"({row['compiled_speedup']:.1f}x), parallel(4) "
-              f"{row['parallel_seconds'] * 1e3:.1f} ms "
-              f"({row['parallel_speedup']:.1f}x), "
+              f"({row['compiled_speedup']:.1f}x), "
               f"{row['verdict_mismatches']} mismatch(es)")
     return bench_disprover.check(result, smoke)
 

@@ -52,8 +52,6 @@ Old call                                               New call
 =====================================================  =======================================================
 ``Catalog(); catalog.add_table("R", cols)``            ``Session.from_tables("R(a:int,b:int)")``
 ``compile_sql(sql, catalog)``                          ``session.sql(sql)``
-``queries_equivalent(q1, q2)``                         ``h1.equivalent_to(h2).proved``
-``check_query_equivalence(q1, q2)``                    ``h1.equivalent_to(h2)`` (a structured ``Verdict``)
 ``Pipeline().check(q1, q2)``                           ``session.check(sql1, sql2)``
 ``disprove(q1, q2)``                                   ``h1.disprove(h2)``
 ``optimize(query, stats)``                             ``h.optimize(stats)`` (a ``PlanHandle``)
@@ -62,13 +60,10 @@ Old call                                               New call
 =====================================================  =======================================================
 
 The old entry points still work — ``compile_sql``, ``Pipeline``, and the
-rest import and behave exactly as before; only the two top-level free
-functions ``repro.queries_equivalent`` and ``repro.check_query_equivalence``
-emit a :class:`DeprecationWarning` (their :mod:`repro.core` homes stay
-warning-free for internal use).
+rest import and behave exactly as before.  The prover's free functions
+``queries_equivalent`` and ``check_query_equivalence`` live in
+:mod:`repro.core.equivalence`.
 """
-
-import warnings as _warnings
 
 from . import obs
 from .core import (
@@ -85,10 +80,6 @@ from .core import (
     cq_equivalent,
     decide_cq,
     denote_closed,
-)
-from .core.equivalence import (
-    check_query_equivalence as _check_query_equivalence,
-    queries_equivalent as _queries_equivalent,
 )
 from .engine import Database, Interpretation, run_query
 from .errors import ReproError
@@ -117,30 +108,6 @@ from .solver import (
 from .sql import Catalog, compile_sql, query_to_str
 
 __version__ = "2.0.0"
-
-
-def queries_equivalent(q1, q2, ctx_schema=None, hyps=None):
-    """Deprecated shim — use :meth:`QueryHandle.equivalent_to` (or
-    :func:`repro.core.equivalence.queries_equivalent` directly)."""
-    _warnings.warn(
-        "repro.queries_equivalent is deprecated; open a repro.Session and "
-        "use QueryHandle.equivalent_to(...).proved",
-        DeprecationWarning, stacklevel=2)
-    if hyps is None:
-        return _queries_equivalent(q1, q2, ctx_schema)
-    return _queries_equivalent(q1, q2, ctx_schema, hyps)
-
-
-def check_query_equivalence(q1, q2, ctx_schema=None, hyps=None, **kwargs):
-    """Deprecated shim — use :meth:`QueryHandle.equivalent_to` (or
-    :func:`repro.core.equivalence.check_query_equivalence` directly)."""
-    _warnings.warn(
-        "repro.check_query_equivalence is deprecated; open a repro.Session "
-        "and use QueryHandle.equivalent_to(...)",
-        DeprecationWarning, stacklevel=2)
-    if hyps is None:
-        return _check_query_equivalence(q1, q2, ctx_schema, **kwargs)
-    return _check_query_equivalence(q1, q2, ctx_schema, hyps, **kwargs)
 
 
 __all__ = [
@@ -180,14 +147,12 @@ __all__ = [
     "__version__",
     "all_rules",
     "ast",
-    "check_query_equivalence",
     "compile_sql",
     "cq_equivalent",
     "decide_cq",
     "denote_closed",
     "get_rule",
     "obs",
-    "queries_equivalent",
     "query_to_str",
     "rules_by_category",
     "run_query",

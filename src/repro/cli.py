@@ -95,19 +95,6 @@ def _workers_from_args(args: argparse.Namespace):
     return workers
 
 
-def _disprover_knobs_from_args(args: argparse.Namespace):
-    """Validated (workers, batch_size) for the bounded disprover."""
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = 1
-    batch_size = getattr(args, "batch_size", None)
-    if workers < 1:
-        raise CLIError(f"--workers must be at least 1, got {workers}")
-    if batch_size is not None and batch_size < 1:
-        raise CLIError(f"--batch-size must be at least 1, got {batch_size}")
-    return workers, batch_size
-
-
 def _session_from_args(args: argparse.Namespace) -> Session:
     """One Session per command: catalog + pipeline + cache + workers."""
     config = PipelineConfig(disprover_bound=_bound_from_args(args))
@@ -283,21 +270,18 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_disprove(args: argparse.Namespace) -> int:
     bound = _bound_from_args(args)
-    workers, batch_size = _disprover_knobs_from_args(args)
     if len(args.target) == 1:
         try:
             rule = get_rule(args.target[0])
         except KeyError as exc:
             raise CLIError(str(exc)) from exc
-        result = disprove_rule(rule, bound=bound,
-                               workers=workers, batch_size=batch_size)
+        result = disprove_rule(rule, bound=bound)
         label = f"rule {rule.name!r}"
     elif len(args.target) == 2:
         with _session_from_args(args) as session:
             q1 = _handle(session, args.target[0])
             result = q1.disprove(_handle(session, args.target[1]),
-                                 bound=bound, max_instances=None,
-                                 workers=workers, batch_size=batch_size)
+                                 bound=bound, max_instances=None)
         label = "query pair"
     else:
         raise CLIError("disprove takes a rule name or exactly two SQL "
@@ -710,13 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="a rule name, or two SQL queries")
     disprove_p.add_argument("--table", action="append", metavar="SPEC",
                             help="table declaration (SQL mode)")
-    disprove_p.add_argument("--workers", type=int, default=1, metavar="N",
-                            help="shard the instance space across N "
-                                 "processes (default 1: in-process)")
-    disprove_p.add_argument("--batch-size", type=int, default=None,
-                            metavar="N", dest="batch_size",
-                            help="instances per parallel shard (default: "
-                                 "auto, ~8 batches per worker)")
     _add_bound_options(disprove_p)
     _add_obs_options(disprove_p)
     disprove_p.set_defaults(fn=cmd_disprove)

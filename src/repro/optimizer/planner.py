@@ -99,7 +99,6 @@ def optimize(query: ast.Query, stats: TableStats, max_plans: int = 400,
              strategy: str = "saturation",
              iterations: Optional[int] = None,
              node_budget: Optional[int] = None,
-             workers: Optional[int] = None,
              hypotheses: Hypotheses = NO_HYPOTHESES,
              analysis: Optional[AnalysisContext] = None) -> PlanningResult:
     """Search the rewrite space for the cheapest equivalent plan.
@@ -119,9 +118,6 @@ def optimize(query: ast.Query, stats: TableStats, max_plans: int = 400,
         iterations: saturation iteration budget (rewrite depth);
             defaults to :class:`SaturationBudget`'s.
         node_budget: saturation e-node budget; defaults to ``max_plans``.
-        workers: fan saturation's match phase across N pool processes
-            (saturation only; results identical to serial — see
-            :func:`repro.optimizer.saturate.saturate`).
         hypotheses: integrity-constraint hypotheses the plan may assume.
             They seed the static analysis (a keyed table is set-valued,
             licensing ``distinct_elim_under_key``) and are passed to the
@@ -143,7 +139,7 @@ def optimize(query: ast.Query, stats: TableStats, max_plans: int = 400,
     ctx = analysis if analysis is not None \
         else AnalysisContext.from_hypotheses(hypotheses)
     key = (query, strategy, _stats_fingerprint(stats), max_plans,
-           iterations, node_budget, ctx)  # workers never changes the result
+           iterations, node_budget, ctx)
     cached = _PLAN_MEMO.get(key)
     if cached is not None:
         # Hand the caller a fresh instance: ``certified`` is mutable and
@@ -152,8 +148,7 @@ def optimize(query: ast.Query, stats: TableStats, max_plans: int = 400,
     elif strategy == "saturation":
         result = _optimize_saturation(query, stats, max_plans=max_plans,
                                       iterations=iterations,
-                                      node_budget=node_budget,
-                                      workers=workers, ctx=ctx)
+                                      node_budget=node_budget, ctx=ctx)
         _PLAN_MEMO.put(key, replace(result))
     else:
         result = _optimize_bfs(query, stats, max_plans=max_plans)
@@ -180,7 +175,6 @@ def optimize(query: ast.Query, stats: TableStats, max_plans: int = 400,
 def _optimize_saturation(query: ast.Query, stats: TableStats, *,
                          max_plans: int, iterations: Optional[int],
                          node_budget: Optional[int],
-                         workers: Optional[int] = None,
                          ctx: Optional[AnalysisContext] = None
                          ) -> PlanningResult:
     defaults = SaturationBudget()
@@ -197,8 +191,7 @@ def _optimize_saturation(query: ast.Query, stats: TableStats, *,
     # ``q`` only when the facts license it.
     rules = ERULES + guarded_rules(
         ctx if ctx is not None else AnalysisContext())
-    sat_stats = saturate(egraph, rules=rules, budget=budget,
-                         workers=workers)
+    sat_stats = saturate(egraph, rules=rules, budget=budget)
     extraction = extract_best(egraph, root, stats)
     origin_cost = plan_cost(query, stats)
     best_plan, best_cost = extraction.plan, extraction.estimate.cost

@@ -20,20 +20,16 @@ is an instance of a rule the engine has verified, so any plan extracted
 from the root e-class is equivalent to the input — and the planner still
 re-certifies the winner end to end through the verification pipeline.
 
-**Parallel matching** (opt-in, ``workers=N``): the match side of the
-rules — conjunct flattening, projection-path analysis, pushability — is
-a pure function of the predicate, so it fans out across a process pool
-in egg's match/apply split.  Workers receive predicates (interned nodes
-pickle by construction and re-intern on load) and return flat int
-feature vectors; the apply phase stays serial on the parent's e-graph,
-so parallel runs are bit-identical to serial ones.  Worth it for large
-node budgets where match analysis dominates; the defaults stay serial.
+The match side of the selection rules — conjunct flattening,
+projection-path analysis, pushability — is a pure function of the
+predicate, so it is computed once per interned predicate and memoized
+on the node (see :func:`_pred_features`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core import ast
 from ..obs.logs import get_logger
@@ -106,7 +102,7 @@ class ERule:
 
 
 # ---------------------------------------------------------------------------
-# Parallel match support: predicate → int feature vector
+# Match support: predicate → int feature vector
 # ---------------------------------------------------------------------------
 
 def _pred_features(pred: ast.Predicate) -> Tuple[int, int, int]:
@@ -114,9 +110,9 @@ def _pred_features(pred: ast.Predicate) -> Tuple[int, int, int]:
     ``(has_duplicate_conjuncts, pushable_left, pushable_right)``.
 
     Must agree exactly with the checks inside :func:`_dedup_conjuncts`
-    and :func:`_push_where` — the rules consult a stashed vector as a
-    precomputed fast path, so any disagreement would make parallel runs
-    diverge from serial ones (the parity test pins this).
+    and :func:`_push_where` — the rules consult the vector memoized on
+    the predicate (``_hc_mfeat``) as a fast path, so any disagreement
+    would change which rewrites fire.
     """
     conjuncts = flatten_conjuncts(pred)
     dup = int(len(dict.fromkeys(conjuncts)) != len(conjuncts))
@@ -126,38 +122,6 @@ def _pred_features(pred: ast.Predicate) -> Tuple[int, int, int]:
     left = int(all(p[:2] == ("R", "L") or p[:1] == ("L",) for p in paths))
     right = int(all(p[:2] == ("R", "R") or p[:1] == ("L",) for p in paths))
     return (dup, left, right)
-
-
-def _match_features(preds: Sequence[ast.Predicate]
-                    ) -> List[Tuple[int, int, int]]:
-    """Worker entry point: feature vectors for a chunk of predicates.
-
-    Runs in a pool process — predicates arrive pickled (re-interning on
-    load), the result is a plain list of int triples.
-    """
-    return [_pred_features(pred) for pred in preds]
-
-
-def _stash_features(snapshot, pool, workers: int) -> None:
-    """Fan match analysis over the pool; stash results on the predicates.
-
-    Only predicates not yet analysed (no ``_hc_mfeat`` stash) are
-    shipped, deduplicated by interned identity, and chunked evenly
-    across the workers.  The stash survives on the interned node, so
-    across iterations (and optimizer calls) each distinct predicate is
-    analysed exactly once process-wide.
-    """
-    todo = list(dict.fromkeys(
-        node.label[0] for _cid, node in snapshot
-        if node.op is ast.Where
-        and "_hc_mfeat" not in node.label[0].__dict__))
-    if not todo:
-        return
-    step = max(1, (len(todo) + workers - 1) // workers)
-    chunks = [todo[i:i + step] for i in range(0, len(todo), step)]
-    for chunk, feats in zip(chunks, pool.map(_match_features, chunks)):
-        for pred, feat in zip(chunk, feats):
-            object.__setattr__(pred, "_hc_mfeat", feat)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +185,8 @@ def _push_where(eg: EGraph, cid: int, node: ENode) -> int:
     """Selection pushdown through Product / distribution over UnionAll."""
     pred = node.label[0]
     qc = eg.find(node.children[0])
-    # The match-side analysis may have been done ahead of time by a pool
-    # worker (``workers=N``); the stash is a pure function of the
-    # predicate, so using it cannot change which rewrites fire.
+    # The match-side analysis is a pure function of the predicate, so it
+    # is memoized on the interned node across iterations and calls.
     feat = pred.__dict__.get("_hc_mfeat")
     if feat is None:
         feat = _pred_features(pred)
@@ -319,8 +282,7 @@ def _rule_index(rules: Tuple[ERule, ...]) -> Dict[type, List[ERule]]:
 
 
 def saturate(eg: EGraph, rules: Tuple[ERule, ...] = ERULES,
-             budget: Optional[SaturationBudget] = None, *,
-             workers: Optional[int] = None) -> SaturationStats:
+             budget: Optional[SaturationBudget] = None) -> SaturationStats:
     """Run the rule suite to fixpoint or budget exhaustion.
 
     Each iteration snapshots the current ``(class, e-node)`` population,
@@ -328,36 +290,16 @@ def saturate(eg: EGraph, rules: Tuple[ERule, ...] = ERULES,
     e-graph), then rebuilds congruence once.  The loop stops when an
     iteration changes nothing (``saturated=True``), when the node budget
     is spent, or when the iteration budget runs out.
-
-    ``workers=N`` (N > 1) fans the match-side predicate analysis of each
-    snapshot across a process pool before the serial apply phase; see
-    the module docstring.  Results are identical to the serial run.
     """
     budget = budget if budget is not None else SaturationBudget()
     index = _rule_index(rules)
     stats = SaturationStats()
-    pool = None
-    if workers is not None and workers > 1:
-        import concurrent.futures
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-    try:
-        return _saturate_loop(eg, index, budget, stats, pool, workers)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-
-def _saturate_loop(eg: EGraph, index, budget: SaturationBudget,
-                   stats: SaturationStats, pool,
-                   workers: Optional[int]) -> SaturationStats:
     with span("optimizer.saturate") as root:
         for _ in range(budget.max_iterations):
             with span("optimizer.saturate.iteration",
                       iteration=stats.iterations) as it_span:
                 snapshot = [(cid, node) for cid, nodes in eg.classes()
                             for node in list(nodes)]
-                if pool is not None:
-                    _stash_features(snapshot, pool, workers)
                 nodes_before, unions_before = eg.nodes_added, eg.unions
                 out_of_nodes = False
                 for cid, node in snapshot:

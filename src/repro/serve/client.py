@@ -188,35 +188,21 @@ class ServeClient:
         return bool(self.request("ping").get("pong"))
 
     def check(self, sql1: str, sql2: str,
-              tables: Optional[Sequence[str]] = None,
-              disprover_workers: Optional[int] = None,
-              disprover_batch_size: Optional[int] = None) -> Verdict:
-        """Decide equivalence of two SQL texts on the server.
-
-        ``disprover_workers`` / ``disprover_batch_size`` override the
-        server's disprover parallelism for this request only; omitted
-        (None) knobs use the server default, and servers predating the
-        knobs ignore the extra keys.
-        """
+              tables: Optional[Sequence[str]] = None) -> Verdict:
+        """Decide equivalence of two SQL texts on the server."""
         result = self.request("check", sql1=sql1, sql2=sql2,
                               tables=list(tables) if tables is not None
-                              else None,
-                              disprover_workers=disprover_workers,
-                              disprover_batch_size=disprover_batch_size)
+                              else None)
         return self._rehydrate(result)
 
     def check_detail(self, sql1: str, sql2: str,
-                     tables: Optional[Sequence[str]] = None,
-                     disprover_workers: Optional[int] = None,
-                     disprover_batch_size: Optional[int] = None
+                     tables: Optional[Sequence[str]] = None
                      ) -> Dict[str, Any]:
         """Like :meth:`check` but returns the raw result (dedup role,
         wall seconds, verdict dict)."""
         return self.request("check", sql1=sql1, sql2=sql2,
                             tables=list(tables) if tables is not None
-                            else None,
-                            disprover_workers=disprover_workers,
-                            disprover_batch_size=disprover_batch_size)
+                            else None)
 
     def batch_check(self, pairs: Iterable[Tuple[str, str]],
                     tables: Optional[Sequence[str]] = None

@@ -44,7 +44,6 @@ import socketserver
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.equivalence import NO_HYPOTHESES
@@ -348,8 +347,7 @@ class ReproServer:
 
     # -- answering: alias index, then in-flight dedup -------------------------
 
-    def _answer(self, q1, q2, config: Optional[PipelineConfig] = None
-                ) -> Tuple[Verdict, str]:
+    def _answer(self, q1, q2) -> Tuple[Verdict, str]:
         """Answer one compiled question: from the alias index when it was
         asked before (role ``"alias"``), otherwise via :meth:`_checked`."""
         key = syntactic_alias(q1, q2)
@@ -357,19 +355,14 @@ class ReproServer:
         if hit is not None:
             _ALIAS_HITS.inc()
             return hit, "alias"
-        return self._checked(q1, q2, key, config=config)
+        return self._checked(q1, q2, key)
 
-    def _checked(self, q1, q2, key: str,
-                 config: Optional[PipelineConfig] = None
-                 ) -> Tuple[Verdict, str]:
+    def _checked(self, q1, q2, key: str) -> Tuple[Verdict, str]:
         """Answer one compiled question, deduplicating in-flight work.
 
         Returns ``(verdict, role)`` where role is ``"leader"`` (this
         request ran the pipeline) or ``"follower"`` (it fanned in on a
-        concurrent identical question).  ``config`` is a per-request
-        pipeline override; only verdict-neutral knobs (disprover
-        parallelism) may differ, so followers can safely fan in on a
-        leader that ran with different knobs.
+        concurrent identical question).
         """
         with self._inflight_lock:
             entry = self._inflight.get(key)
@@ -392,7 +385,7 @@ class ReproServer:
                 _PIPELINE_RUNS.inc()
                 future = self._executor.submit(
                     self.pipeline.check, q1, q2, None, NO_HYPOTHESES,
-                    alias=key, config=config)
+                    alias=key)
                 entry.verdict = future.result()
             except BaseException as exc:
                 entry.error = exc
@@ -434,38 +427,11 @@ class ReproServer:
             "wall_seconds": wall,
         }
 
-    def _disprover_config(self, message: Dict[str, Any]
-                          ) -> Optional[PipelineConfig]:
-        """Per-request disprover knobs, or None for the server default."""
-        workers = message.get("disprover_workers")
-        batch = message.get("disprover_batch_size")
-        if workers is None and batch is None:
-            return None
-        if workers is not None and (not isinstance(workers, int)
-                                    or isinstance(workers, bool)
-                                    or workers < 1):
-            raise ProtocolError("bad-request",
-                                '"disprover_workers" must be a positive '
-                                'integer')
-        if batch is not None and (not isinstance(batch, int)
-                                  or isinstance(batch, bool) or batch < 1):
-            raise ProtocolError("bad-request",
-                                '"disprover_batch_size" must be a '
-                                'positive integer')
-        cfg = self.pipeline.config
-        return replace(
-            cfg,
-            disprover_workers=(workers if workers is not None
-                               else cfg.disprover_workers),
-            disprover_batch_size=(batch if batch is not None
-                                  else cfg.disprover_batch_size))
-
     def _op_check(self, message: Dict[str, Any]) -> Dict[str, Any]:
         sql1, sql2 = self._require_sql(message, "sql1", "sql2")
-        config = self._disprover_config(message)
         started = time.perf_counter()
         q1, q2, _ = self._compile_pair(message, sql1, sql2)
-        verdict, role = self._answer(q1, q2, config)
+        verdict, role = self._answer(q1, q2)
         return self._check_result(verdict, role,
                                   time.perf_counter() - started)
 
@@ -475,7 +441,6 @@ class ReproServer:
             raise ProtocolError("bad-request",
                                 '"pairs" must be a non-empty list of '
                                 '[SQL1, SQL2] pairs')
-        config = self._disprover_config(message)
         results = []
         for i, pair in enumerate(pairs):
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
@@ -485,7 +450,7 @@ class ReproServer:
                                     f"list of strings")
             started = time.perf_counter()
             q1, q2, _ = self._compile_pair(message, pair[0], pair[1])
-            verdict, role = self._answer(q1, q2, config)
+            verdict, role = self._answer(q1, q2)
             results.append(self._check_result(
                 verdict, role, time.perf_counter() - started))
         return {"results": results, "total": len(results)}

@@ -40,6 +40,7 @@ import json
 import os
 import tempfile
 import threading
+import zlib
 from typing import Any, Dict, Optional
 
 from ..fslock import file_lock
@@ -124,9 +125,10 @@ class ShardedProofStore:
         try:
             prefix = int(fingerprint[:8], 16)
         except ValueError:
-            # Non-hex keys (tests, future key schemes) still shard
-            # deterministically.
-            prefix = hash(fingerprint) & 0xFFFFFFFF
+            # Non-hex keys (tests, future key schemes) need a digest that,
+            # unlike the per-process salted ``hash``, agrees across
+            # processes sharing the store.
+            prefix = zlib.crc32(fingerprint.encode("utf-8"))
         return prefix % self.shards
 
     def _segment(self, shard: int) -> str:

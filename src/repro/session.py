@@ -207,14 +207,11 @@ class QueryHandle:
     def disprove(self, other: Union["QueryHandle", str], *,
                  bound: Optional[Bound] = None,
                  max_instances: Union[int, None, object] = _UNSET,
-                 hyps: Hypotheses = NO_HYPOTHESES,
-                 workers: Optional[int] = None,
-                 batch_size: Optional[int] = None) -> DisproofResult:
+                 hyps: Hypotheses = NO_HYPOTHESES) -> DisproofResult:
         """Bounded-exhaustive counterexample search against ``other``.
 
         ``max_instances`` defaults to the session config's budget; pass
-        ``None`` explicitly for an unbounded search.  ``workers`` /
-        ``batch_size`` default to the session config's sharding knobs.
+        ``None`` explicitly for an unbounded search.
         """
         other = self._session._coerce(other)
         cfg = self._session.pipeline.config
@@ -223,11 +220,7 @@ class QueryHandle:
             bound=bound if bound is not None else cfg.disprover_bound,
             max_instances=(cfg.disprover_max_instances
                            if max_instances is _UNSET else max_instances),
-            hyps=hyps,
-            workers=workers if workers is not None
-            else cfg.disprover_workers,
-            batch_size=batch_size if batch_size is not None
-            else cfg.disprover_batch_size)
+            hyps=hyps)
 
     def optimize(self, stats: Optional[TableStats] = None, *,
                  strategy: str = "saturation", max_plans: int = 400,

@@ -19,14 +19,13 @@ The search engine is built for compile-once/evaluate-many throughput:
   (:mod:`repro.engine.compile`) evaluated over plain count dicts — no
   per-instance AST dispatch, no :class:`KRelation` allocation; exotic
   semirings fall back to the tree-walking interpreter;
-* the instance space is a mixed-radix index over per-table descriptor
-  lists, so it shards by index ranges across a ``ProcessPoolExecutor``
-  (``disprove(..., workers=N)``) with a deterministic smallest-index
-  witness, early cancellation of shards past the first hit, and exact
-  ``instances_checked`` accounting folded from per-shard reports;
-* every witness — compiled or not, sharded or not — is re-evaluated
-  through the reference interpreter before being reported, so a
-  DISPROVED verdict never rests on the compiled evaluator alone.
+* the instance space is the product of the per-table descriptor lists,
+  scanned in canonical order, so the first witness — a mixed-radix
+  index into that product — is the smallest one and
+  ``instances_checked`` is exact;
+* every witness — compiled or not — is re-evaluated through the
+  reference interpreter before being reported, so a DISPROVED verdict
+  never rests on the compiled evaluator alone.
 
 Two entry points:
 
@@ -42,7 +41,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
@@ -59,7 +57,7 @@ from ..engine.eval import run_query
 from ..engine.random_instances import Counterexample
 from ..obs.metrics import counter, histogram
 from ..semiring.krelation import KRelation
-from ..semiring.semirings import BOOL, NAT, NAT_INF, Semiring, TROPICAL
+from ..semiring.semirings import NAT, Semiring
 from .verdict import BoundInfo, CounterexampleRecord
 
 #: Domains intentionally smaller than the random falsifier's defaults: the
@@ -71,13 +69,6 @@ SMALL_DOMAINS: Dict[str, Tuple[Any, ...]] = {
     "string": ("a", "b"),
     "float": (0.0, 1.0),
 }
-
-#: Semiring singletons by name — parallel shards ship the *name* and
-#: re-resolve it worker-side, because pickling a semiring instance would
-#: produce a copy that breaks the ``is``-identity checks in the engine.
-_SEMIRINGS_BY_NAME: Dict[str, Semiring] = {
-    s.name: s for s in (BOOL, NAT, NAT_INF, TROPICAL)}
-
 
 @dataclass(frozen=True)
 class Bound:
@@ -306,8 +297,8 @@ def _all_projections(proj: ast.Projection) -> Iterator[ast.Projection]:
 # vector) — in a fixed canonical order (support size ascending, index
 # combinations lexicographic, multiplicity assignments in product order).
 # Everything downstream (K-relation enumeration, count-dict batches for
-# the compiled evaluator, mixed-radix sharding, witness reconstruction)
-# indexes into these cached arrays instead of re-materializing them.
+# the compiled evaluator, witness reconstruction) indexes into these
+# cached arrays instead of re-materializing them.
 
 @lru_cache(maxsize=256)
 def _tuple_space(schema: Schema,
@@ -414,8 +405,6 @@ def disprove(q1: ast.Query, q2: ast.Query,
              max_instances: Optional[int] = None,
              hyps: Optional[Hypotheses] = None,
              analyze: bool = True,
-             workers: int = 1,
-             batch_size: Optional[int] = None,
              use_compiled: Optional[bool] = None) -> DisproofResult:
     """Exhaust all instances within ``bound`` looking for a disagreement.
 
@@ -443,21 +432,11 @@ def disprove(q1: ast.Query, q2: ast.Query,
             aggregate-free) multiplicities above 1 cannot create a
             disagreement that multiplicity 1 misses.  Off switch exists
             for benchmarking the unpruned search.
-        workers: shard the search across this many processes.  Takes
-            effect only for searches with no ``base_interp`` (callables
-            do not pickle); the witness and ``instances_checked`` are
-            bit-identical to ``workers=1`` regardless of scheduling.
-        batch_size: instances per shard (default: sized so each worker
-            gets ~8 shards, clamped to [512, 100000]).
         use_compiled: ``None`` (default) compiles under NAT/BOOL and
             falls back to the interpreter elsewhere; ``False`` forces
             the interpreter (the benchmark baseline); ``True`` demands
             compilation and lets :class:`CompileError` propagate.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     started = time.perf_counter()
     counter("disprover.searches_total").inc()
     if tables is None:
@@ -529,37 +508,18 @@ def disprove(q1: ast.Query, q2: ast.Query,
             valid.append(None)
         spaces.append(space)
 
-    radices = [len(space) for space in spaces]
-    total = 1
-    for r in radices:
-        total *= r
-    search_n = total if max_instances is None else min(total, max_instances)
-
-    # Sharding requires a picklable worker spec: no base interpretation
-    # (metavariable bindings are callables) and no constraint filtering
-    # (checkers need the base interpretation anyway, so with
-    # ``base_interp is None`` nothing was filtered).
-    parallel = (workers > 1 and names and base_interp is None
-                and all(v is None for v in valid) and search_n > 1)
-    if parallel:
-        counter("disprover.parallel_total").inc()
-        spec = (q1, q2, tuple(names), tuple(tables[n] for n in names),
-                bound, semiring.name, pair is not None)
-        witness, checked = _search_parallel(spec, search_n, workers,
-                                            batch_size)
-        exhausted = witness is None and search_n == total
+    if pair is not None:
+        evaluate: Callable[[Tuple[Any, ...]], bool] = pair.differs
     else:
-        if pair is not None:
-            evaluate: Callable[[Tuple[Any, ...]], bool] = pair.differs
-        else:
-            def evaluate(combo: Tuple[Any, ...]) -> bool:
-                interp = _with_relations(base_interp, names, combo, tables)
-                return (run_query(q1, interp, semiring)
-                        != run_query(q2, interp, semiring))
-        witness, checked, exhausted = _search_serial(evaluate, spaces,
-                                                     max_instances)
+        def evaluate(combo: Tuple[Any, ...]) -> bool:
+            interp = _with_relations(base_interp, names, combo, tables)
+            return (run_query(q1, interp, semiring)
+                    != run_query(q2, interp, semiring))
+    witness, checked, exhausted = _search_serial(evaluate, spaces,
+                                                 max_instances)
 
     if witness is not None:
+        radices = [len(space) for space in spaces]
         cx, record = _witness_at(q1, q2, names, tables, bound, semiring,
                                  base_interp, valid, radices, witness)
         result = DisproofResult(cx, record, bound, witness + 1,
@@ -588,121 +548,6 @@ def _search_serial(evaluate: Callable[[Tuple[Any, ...]], bool],
     return None, checked, True
 
 
-# -- sharded search ----------------------------------------------------------
-
-def _default_batch(search_n: int, workers: int) -> int:
-    # ~8 shards per worker: coarse enough to amortize task dispatch,
-    # fine enough that cancelling shards past a witness saves real work.
-    return max(512, min(100_000, -(-search_n // (workers * 8))))
-
-
-def _search_parallel(spec: Tuple[Any, ...], search_n: int, workers: int,
-                     batch_size: Optional[int]
-                     ) -> Tuple[Optional[int], int]:
-    """Shard ``[0, search_n)`` across processes; smallest witness wins.
-
-    Each shard reports (found index | None, instances examined).  The
-    fold is deterministic no matter how the pool schedules: the witness
-    is the *minimum* found index, shards starting past the current best
-    are cancelled, and the accounting mirrors the serial scan exactly —
-    ``witness + 1`` when found, the sum of full shard counts
-    (= ``search_n``) when not.
-    """
-    batch = batch_size if batch_size is not None \
-        else _default_batch(search_n, workers)
-    shards = [(start, min(batch, search_n - start))
-              for start in range(0, search_n, batch)]
-    counter("disprover.shards_total").inc(len(shards))
-    best: Optional[int] = None
-    examined = 0
-    with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
-        futures = {pool.submit(_shard_worker, spec, start, count): start
-                   for start, count in shards}
-        try:
-            for future in as_completed(futures):
-                if future.cancelled():
-                    continue
-                found, count = future.result()
-                examined += count
-                if found is not None and (best is None or found < best):
-                    best = found
-                    for other, start in futures.items():
-                        if start > best:
-                            other.cancel()
-        except BaseException:
-            for other in futures:
-                other.cancel()
-            raise
-    if best is not None:
-        return best, best + 1
-    return None, examined
-
-
-def _shard_worker(spec: Tuple[Any, ...], start: int,
-                  count: int) -> Tuple[Optional[int], int]:
-    """Scan global instance indices ``[start, start + count)``.
-
-    Runs in a pool process; everything expensive (compilation, the
-    per-table instance batches) is memoized per spec via
-    :func:`_prepare_spec`, so a worker pays the setup once and then
-    streams shards.
-    """
-    evaluate, spaces = _prepare_spec(spec)
-    index = start
-    for combo in _iter_combos(spaces, start, count):
-        if evaluate(combo):
-            return index, index - start + 1
-        index += 1
-    return None, count
-
-
-@lru_cache(maxsize=32)
-def _prepare_spec(spec: Tuple[Any, ...]):
-    """Worker-side spec → (evaluate closure, per-table instance spaces)."""
-    q1, q2, names, schemas, bound, semiring_name, compiled = spec
-    semiring = _SEMIRINGS_BY_NAME[semiring_name]
-    if compiled:
-        pair = compile_pair(q1, q2, names, None, semiring)
-        spaces = tuple(_count_batches(schema, bound, semiring is NAT)
-                       for schema in schemas)
-        return pair.differs, spaces
-    tables = dict(zip(names, schemas))
-    spaces = tuple(tuple(enumerate_relations(schema, bound, semiring))
-                   for schema in schemas)
-
-    def evaluate(combo: Tuple[Any, ...]) -> bool:
-        interp = _with_relations(None, list(names), combo, tables)
-        return (run_query(q1, interp, semiring)
-                != run_query(q2, interp, semiring))
-    return evaluate, spaces
-
-
-def _iter_combos(spaces: Sequence[Sequence[Any]], start: int,
-                 count: int) -> Iterator[Tuple[Any, ...]]:
-    """``itertools.product(*spaces)`` sliced to ``[start, start+count)``.
-
-    Decodes ``start`` once via mixed radix (leftmost space most
-    significant, matching ``product``), then runs an odometer — O(1)
-    amortized per instance, so late shards cost the same as early ones.
-    """
-    width = len(spaces)
-    radices = [len(space) for space in spaces]
-    idxs = [0] * width
-    rem = start
-    for k in range(width - 1, -1, -1):
-        rem, idxs[k] = divmod(rem, radices[k])
-    current = [spaces[k][idxs[k]] for k in range(width)]
-    for _ in range(count):
-        yield tuple(current)
-        for k in range(width - 1, -1, -1):
-            idxs[k] += 1
-            if idxs[k] < radices[k]:
-                current[k] = spaces[k][idxs[k]]
-                break
-            idxs[k] = 0
-            current[k] = spaces[k][0]
-
-
 def _decode(index: int, radices: Sequence[int]) -> List[int]:
     out = [0] * len(radices)
     for k in range(len(radices) - 1, -1, -1):
@@ -719,7 +564,7 @@ def _witness_at(q1: ast.Query, q2: ast.Query, names: List[str],
     """Reconstruct instance ``witness`` and certify it with the interpreter.
 
     This is the differential parity guarantee in production: no matter
-    which evaluator or how many shards found the disagreement, the
+    which evaluator found the disagreement, the
     reported counterexample is re-derived by the reference interpreter.
     A compiled hit the interpreter cannot confirm is a hard error, never
     a verdict.
@@ -835,8 +680,6 @@ def disprove_factory(factory, bound: Bound = Bound(), draws: int = 3,
                      seed: int = 0, semiring: Semiring = NAT,
                      max_instances: Optional[int] = None,
                      hyps: Optional[Hypotheses] = None,
-                     workers: int = 1,
-                     batch_size: Optional[int] = None,
                      use_compiled: Optional[bool] = None) -> DisproofResult:
     """Bounded-exhaustive search driven by an instance factory.
 
@@ -846,8 +689,7 @@ def disprove_factory(factory, bound: Bound = Bound(), draws: int = 3,
     instead of sampled (restricted to instances satisfying ``hyps``).
     The budget ``max_instances`` is shared across draws.  Instantiated
     searches still use the compiled evaluator (the bindings resolve at
-    compile time) but run in-process — the callables do not pickle, so
-    ``workers`` only applies when an instantiation needs none.
+    compile time).
     """
     total_checked = 0
     exhausted_all = True
@@ -861,8 +703,7 @@ def disprove_factory(factory, bound: Bound = Bound(), draws: int = 3,
             break
         result = disprove(lhs, rhs, tables, bound, semiring,
                           base_interp=interp, max_instances=remaining,
-                          hyps=hyps, workers=workers, batch_size=batch_size,
-                          use_compiled=use_compiled)
+                          hyps=hyps, use_compiled=use_compiled)
         total_checked += result.instances_checked
         if result.found:
             return replace(result, instances_checked=total_checked)
@@ -874,8 +715,6 @@ def disprove_factory(factory, bound: Bound = Bound(), draws: int = 3,
 def disprove_rule(rule, bound: Bound = Bound(), draws: int = 3,
                   seed: int = 0, semiring: Semiring = NAT,
                   max_instances: Optional[int] = None,
-                  workers: int = 1,
-                  batch_size: Optional[int] = None,
                   use_compiled: Optional[bool] = None) -> DisproofResult:
     """Bounded-exhaustive refutation of a generic rewrite rule.
 
@@ -886,7 +725,6 @@ def disprove_rule(rule, bound: Bound = Bound(), draws: int = 3,
         raise ValueError(f"rule {rule.name!r} has no instantiator")
     return disprove_factory(rule.instantiate, bound, draws, seed, semiring,
                             max_instances, hyps=rule.hypotheses,
-                            workers=workers, batch_size=batch_size,
                             use_compiled=use_compiled)
 
 

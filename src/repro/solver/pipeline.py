@@ -85,11 +85,6 @@ class PipelineConfig:
     disprover_max_instances: Optional[int] = 50_000
     #: metavariable instantiations tried when disproving via a factory.
     disprover_draws: int = 2
-    #: processes the disprover shards its instance space across.  1 =
-    #: in-process; the witness and accounting are identical either way.
-    disprover_workers: int = 1
-    #: instances per disprover shard; None sizes shards automatically.
-    disprover_batch_size: Optional[int] = None
     #: cache inconclusive (UNKNOWN) verdicts too?  Off by default so a
     #: later run with a bigger budget is not short-circuited.
     cache_unknown: bool = False
@@ -241,8 +236,7 @@ class Pipeline:
               ctx_schema: Optional[Schema] = None,
               hyps: Hypotheses = NO_HYPOTHESES, *,
               factory=None, alias: Optional[str] = None,
-              prove_only: bool = False,
-              config: Optional[PipelineConfig] = None) -> Verdict:
+              prove_only: bool = False) -> Verdict:
         """Run the tiers on one equivalence question.
 
         Args:
@@ -255,24 +249,18 @@ class Pipeline:
             prove_only: stop after the prover stage (used for rewrite
                 certification, where a counterexample search is wasted
                 work — an uncertified rewrite is simply discarded).
-            config: optional per-call config override (the serve daemon
-                threads request-level disprover knobs through here).
-                Must be verdict-neutral relative to ``self.config`` —
-                the proof cache is shared across calls.
         """
         with span("pipeline.check"):
             # Stage 1: normalize --------------------------------------------
             pre1 = NormalizedQuery.of(q1, ctx_schema)
             pre2 = NormalizedQuery.of(q2, ctx_schema)
             return self.check_normalized(pre1, pre2, hyps, factory=factory,
-                                         alias=alias, prove_only=prove_only,
-                                         config=config)
+                                         alias=alias, prove_only=prove_only)
 
     def check_normalized(self, pre1: NormalizedQuery, pre2: NormalizedQuery,
                          hyps: Hypotheses = NO_HYPOTHESES, *,
                          factory=None, alias: Optional[str] = None,
-                         prove_only: bool = False,
-                         config: Optional[PipelineConfig] = None) -> Verdict:
+                         prove_only: bool = False) -> Verdict:
         """Run the tiers on two *pre-normalized* queries.
 
         The fast path behind :meth:`check` and the session layer's
@@ -284,15 +272,12 @@ class Pipeline:
         """
         with span("pipeline.check_normalized"):
             return self._check_normalized(pre1, pre2, hyps, factory=factory,
-                                          alias=alias, prove_only=prove_only,
-                                          config=config)
+                                          alias=alias, prove_only=prove_only)
 
     def _check_normalized(self, pre1: NormalizedQuery, pre2: NormalizedQuery,
                           hyps: Hypotheses = NO_HYPOTHESES, *,
                           factory=None, alias: Optional[str] = None,
-                          prove_only: bool = False,
-                          config: Optional[PipelineConfig] = None) -> Verdict:
-        cfg = config if config is not None else self.config
+                          prove_only: bool = False) -> Verdict:
         _CHECKS_TOTAL.inc()
         norm_before = normalize_stats()
         d1, d2 = pre1.denotation, pre2.denotation
@@ -307,9 +292,11 @@ class Pipeline:
 
         # Stage 2: cache ----------------------------------------------------
         with span("pipeline.cache") as sp:
-            # The alpha keys already label the denotations' free
-            # context/tuple variables canonically (@ctx/@tup), so the
-            # fingerprint is stable across runs (and processes).
+            # The alpha keys label the denotations' free context/tuple
+            # variables canonically (@ctx/@tup), but a product's factor
+            # order still depends on fresh-variable names, so the same
+            # question can fingerprint differently after a different
+            # history of checks in the process (ROADMAP item 2).
             fingerprint = fingerprint_from_keys(pre1.alpha_key,
                                                 pre2.alpha_key, hyps)
             side_digest = pre1.norm_digest
@@ -336,7 +323,7 @@ class Pipeline:
         # equality directly (they label free context/tuple variables
         # canonically), so the common "same query modulo renaming /
         # reassociation" case never even aligns the normal forms.
-        if cfg.use_alpha_hash:
+        if self.config.use_alpha_hash:
             with span("pipeline.alpha-hash") as sp:
                 same = pre1.alpha_key == pre2.alpha_key
                 sp.attrs["equal"] = same
@@ -353,7 +340,7 @@ class Pipeline:
         n2 = pre2.aligned_nsum(pre1)
         verdict = self._decide(pre1.query, pre2.query, pre1.ctx_schema,
                                hyps, n1, n2, fingerprint, timings, factory,
-                               prove_only, cfg)
+                               prove_only)
         return self._finish(verdict, pre1, pre2, fingerprint, alias,
                             prove_only, norm_before)
 
@@ -391,9 +378,8 @@ class Pipeline:
     # -- the tiers ----------------------------------------------------------
 
     def _decide(self, q1, q2, ctx_schema, hyps, n1, n2, fingerprint,
-                timings, factory, prove_only,
-                cfg: Optional[PipelineConfig] = None) -> Verdict:
-        cfg = cfg if cfg is not None else self.config
+                timings, factory, prove_only) -> Verdict:
+        cfg = self.config
 
         def verdict(status: Status, stage: str, **kw) -> Verdict:
             return Verdict(status=status, stage=stage,
@@ -471,7 +457,7 @@ class Pipeline:
         if cfg.use_disprover:
             with span("pipeline.disprover") as sp:
                 result = self._run_disprover(q1, q2, ctx_schema, hyps,
-                                             factory, cfg)
+                                             factory)
                 sp.attrs["found"] = bool(result is not None and result.found)
             _record_tier(timings, "disprover", sp.duration)
             if result is not None:
@@ -498,16 +484,13 @@ class Pipeline:
                        engine_steps=prover_steps,
                        bound=bound_info, detail=detail)
 
-    def _run_disprover(self, q1, q2, ctx_schema, hyps, factory,
-                       cfg: Optional[PipelineConfig] = None):
-        cfg = cfg if cfg is not None else self.config
+    def _run_disprover(self, q1, q2, ctx_schema, hyps, factory):
+        cfg = self.config
         if factory is not None:
             return disprove_factory(
                 factory, bound=cfg.disprover_bound,
                 draws=cfg.disprover_draws,
-                max_instances=cfg.disprover_max_instances, hyps=hyps,
-                workers=cfg.disprover_workers,
-                batch_size=cfg.disprover_batch_size)
+                max_instances=cfg.disprover_max_instances, hyps=hyps)
         if ctx_schema != EMPTY or has_metavariables(q1) \
                 or has_metavariables(q2):
             return None  # nothing concrete to enumerate
@@ -521,8 +504,7 @@ class Pipeline:
                 tables[name] = schema
             return disprove(q1, q2, tables, bound=cfg.disprover_bound,
                             max_instances=cfg.disprover_max_instances,
-                            hyps=hyps, workers=cfg.disprover_workers,
-                            batch_size=cfg.disprover_batch_size)
+                            hyps=hyps)
         except (ValueError, EvaluationError):
             # Not concretely enumerable (schema conflict, or a symbol —
             # e.g. an uninterpreted scalar function — with no concrete

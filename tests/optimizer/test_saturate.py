@@ -225,40 +225,3 @@ class TestPlannerIntegration:
         result = optimize(q, STATS)
         assert result.certified is True
         assert result.improved
-
-
-class TestParallelMatching:
-    """``workers=N`` fans match analysis over a pool; results must be
-    bit-identical to the serial run (apply stays serial)."""
-
-    def test_parallel_parity_with_serial(self, catalog):
-        query = compile_sql(SEC513, catalog).query
-        outcomes = []
-        # Parallel first: the pool workers (not a leftover serial stash)
-        # must produce the features the apply phase consumes.
-        for workers in (2, None):
-            eg = EGraph()
-            eg.add_term(query)
-            eg.rebuild()
-            stats = saturate(
-                eg, budget=SaturationBudget(max_iterations=8,
-                                            max_nodes=150),
-                workers=workers)
-            outcomes.append((stats.nodes, stats.unions, stats.saturated,
-                             tuple(sorted(stats.rules_fired.items()))))
-        assert outcomes[0] == outcomes[1]
-
-    def test_workers_one_stays_serial(self, catalog):
-        query = compile_sql(SEC513, catalog).query
-        eg = EGraph()
-        eg.add_term(query)
-        eg.rebuild()
-        stats = saturate(eg, workers=1)  # no pool spun up
-        assert stats.iterations >= 1
-
-    def test_optimize_accepts_workers(self, catalog):
-        query = compile_sql(SEC513, catalog).query
-        serial = optimize(query, STATS, certify=False)
-        parallel = optimize(query, STATS, certify=False, workers=2)
-        assert parallel.best_plan is serial.best_plan
-        assert parallel.best_cost == serial.best_cost

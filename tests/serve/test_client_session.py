@@ -1,5 +1,7 @@
 """ServeClient ergonomics and the remote Session.connect surface."""
 
+import multiprocessing.process
+
 import pytest
 
 from repro.core.equivalence import Hypotheses, KeyConstraint
@@ -7,7 +9,7 @@ from repro.core.schema import INT
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.server import ReproServer
 from repro.session import Session, SessionError
-from repro.solver import Status
+from repro.solver import Status, Verdict
 
 TABLES = ["R(a:int,b:int)"]
 Q1 = "SELECT DISTINCT a FROM R"
@@ -47,26 +49,31 @@ class TestServeClient:
         assert cli.ping() is True  # request() reconnects once
         cli.close()
 
-    def test_disprover_knobs_thread_through(self, server):
-        with ServeClient(server.address) as cli:
-            verdict = cli.check("SELECT a FROM R",
-                                "SELECT DISTINCT a FROM R",
-                                disprover_workers=2,
-                                disprover_batch_size=32)
-            assert verdict.status is Status.DISPROVED
-            baseline = cli.check("SELECT b FROM R",
-                                 "SELECT DISTINCT b FROM R")
-            assert baseline.status is Status.DISPROVED
+    def test_disprover_knobs_thread_through(self, server, monkeypatch):
+        # The disprover knobs no longer reach the daemon: they are ignored
+        # like any unknown field, so a client cannot make it start a
+        # process per instance, and the verdict is the plain one.
+        sql1, sql2 = "SELECT a FROM R", "SELECT DISTINCT a FROM R"
+        reference = ReproServer(port=0, tables=TABLES).start()
+        try:
+            with ServeClient(reference.address) as cli:
+                plain = cli.check(sql1, sql2)
+        finally:
+            reference.shutdown()
+        assert plain.status is Status.DISPROVED
 
-    def test_bad_disprover_knobs_are_protocol_errors(self, server):
+        def refuse(process):
+            pytest.fail(f"a check request started {process!r}")
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
         with ServeClient(server.address) as cli:
-            for payload in ({"disprover_workers": 0},
-                            {"disprover_workers": "four"},
-                            {"disprover_batch_size": 0},
-                            {"disprover_batch_size": True}):
-                with pytest.raises(ServeClientError) as excinfo:
-                    cli.request("check", sql1=Q1, sql2=Q1, **payload)
-                assert excinfo.value.code == "bad-request"
+            result = cli.request("check", sql1=sql1, sql2=sql2,
+                                 disprover_workers=64,
+                                 disprover_batch_size=1)
+        hostile = Verdict.from_dict(result["verdict"])
+        for name in ("status", "stage", "engine_steps", "counterexample",
+                     "bound", "detail"):
+            assert getattr(hostile, name) == getattr(plain, name), name
 
 
 class TestRemoteSession:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -60,6 +62,27 @@ class TestShardedStore:
         again = ShardedProofStore(str(tmp_path), shards=8)
         assert [store.shard_of(fp) for fp in fingerprints] == \
             [again.shard_of(fp) for fp in fingerprints]
+
+    def test_non_hex_shard_is_stable_across_processes(self, tmp_path):
+        # Processes sharing a store must agree on every key's shard, also
+        # under different str-hash salts.
+        repo_src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))), "src")
+        script = ("import sys; from repro.serve.store import "
+                  "ShardedProofStore; store = ShardedProofStore("
+                  "sys.argv[1], shards=16); print([store.shard_of(k) "
+                  "for k in ('alpha', 'beta', 'gamma', 'ff' * 32)])")
+        layouts = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONPATH=repo_src,
+                       PYTHONHASHSEED=seed)
+            layouts.add(subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path)], env=env,
+                capture_output=True, text=True, check=True,
+                timeout=60).stdout)
+        assert len(layouts) == 1, layouts
+        # Hex fingerprints shard by their leading 32 bits.
+        assert layouts.pop().strip().endswith(f"{0xffffffff % 16}]")
 
     def test_existing_shard_count_wins(self, tmp_path):
         ShardedProofStore(str(tmp_path), shards=4)

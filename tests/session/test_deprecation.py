@@ -1,10 +1,7 @@
-"""Deprecation shims: old free functions warn, everything else stays quiet."""
+"""The pre-session entry points stay importable without warnings."""
 
 import warnings
 
-import pytest
-
-import repro
 from repro import Catalog, INT, compile_sql
 
 
@@ -12,21 +9,6 @@ def _table():
     catalog = Catalog()
     catalog.add_table("R", [("a", INT), ("b", INT)])
     return catalog
-
-
-def test_top_level_queries_equivalent_warns_and_works():
-    catalog = _table()
-    q = compile_sql("SELECT a FROM R", catalog).query
-    with pytest.warns(DeprecationWarning, match="Session"):
-        assert repro.queries_equivalent(q, q)
-
-
-def test_top_level_check_query_equivalence_warns_and_works():
-    catalog = _table()
-    q = compile_sql("SELECT a FROM R", catalog).query
-    with pytest.warns(DeprecationWarning, match="Session"):
-        result = repro.check_query_equivalence(q, q)
-    assert result.equal
 
 
 def test_core_homes_do_not_warn():

@@ -145,38 +145,6 @@ class TestDisproveRules:
         assert result.exhausted
 
 
-class TestShardDeterminism:
-    """Parallel search must be bit-identical to the serial search."""
-
-    def test_same_witness_serial_and_parallel(self, catalog):
-        q1 = compile_sql("SELECT r.a FROM R r, S s WHERE r.a = s.a",
-                         catalog).query
-        q2 = compile_sql("SELECT DISTINCT r.a FROM R r, S s "
-                         "WHERE r.a = s.a", catalog).query
-        bound = Bound.of(3, 2)
-        serial = disprove(q1, q2, bound=bound, workers=1)
-        sharded = disprove(q1, q2, bound=bound, workers=4, batch_size=37)
-        assert serial.found and sharded.found
-        assert sharded.instances_checked == serial.instances_checked
-        assert sharded.counterexample.trial == serial.counterexample.trial
-        assert sharded.record == serial.record
-
-    def test_exhaustion_matches_serial(self, catalog):
-        q1 = compile_sql("SELECT a FROM R WHERE a = 1", catalog).query
-        serial = disprove(q1, q1, bound=Bound.of(2, 2), workers=1)
-        sharded = disprove(q1, q1, bound=Bound.of(2, 2), workers=4)
-        assert not serial.found and not sharded.found
-        assert serial.exhausted and sharded.exhausted
-        assert sharded.instances_checked == serial.instances_checked
-
-    def test_knob_validation(self, catalog):
-        q1 = compile_sql("SELECT a FROM R", catalog).query
-        with pytest.raises(ValueError):
-            disprove(q1, q1, workers=0)
-        with pytest.raises(ValueError):
-            disprove(q1, q1, batch_size=0)
-
-
 class TestDisproverStress:
     """The compiled disprover makes the PR 9 ``slow`` bounds tier-1."""
 

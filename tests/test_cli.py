@@ -130,28 +130,6 @@ class TestDisproveCommand:
     def test_unknown_rule_is_cli_error(self):
         assert main(["disprove", "no_such_rule"]) == 2
 
-    def test_parallel_search_same_witness(self, capsys):
-        code = main(["disprove", "--table", "R(a:int)", "--max-rows", "3",
-                     "SELECT a FROM R", "SELECT DISTINCT a FROM R"])
-        serial = capsys.readouterr().out
-        assert code == 0
-        code = main(["disprove", "--table", "R(a:int)", "--max-rows", "3",
-                     "--workers", "2", "--batch-size", "16",
-                     "SELECT a FROM R", "SELECT DISTINCT a FROM R"])
-        assert code == 0
-        assert capsys.readouterr().out == serial
-
-    def test_bad_workers_is_cli_error(self, capsys):
-        code = main(["disprove", "--workers", "0", "bad_union_distinct"])
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
-
-    def test_bad_batch_size_is_cli_error(self, capsys):
-        code = main(["disprove", "--batch-size", "0",
-                     "bad_union_distinct"])
-        assert code == 2
-        assert "--batch-size" in capsys.readouterr().err
-
 
 class TestProveCommands:
     def test_prove_single_rule(self, capsys):

@@ -46,14 +46,12 @@ REPRO_ALL = [
     "__version__",
     "all_rules",
     "ast",
-    "check_query_equivalence",
     "compile_sql",
     "cq_equivalent",
     "decide_cq",
     "denote_closed",
     "get_rule",
     "obs",
-    "queries_equivalent",
     "query_to_str",
     "rules_by_category",
     "run_query",
