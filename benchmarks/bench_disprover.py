@@ -2,7 +2,7 @@
 """Compiled bounded-disprover benchmarks.
 
 Measures the PR 10 disprover against the PR 9 baseline on one grid of
-bounded-exhaustive searches, under **both** term-kernel backends:
+bounded-exhaustive searches:
 
 * **interpreter** — ``use_compiled=False``: the tree-walking Figure-7
   evaluator with the PR 9 analysis prunes on.  This is exactly the
@@ -28,13 +28,12 @@ import json
 import sys
 import time
 
-from repro.core.intern import set_kernel_backend
 from repro.core.schema import INT
 from repro.solver import Bound, disprove
 from repro.sql import Catalog, compile_sql
 
 #: Minimum wall-clock speedup of the compiled serial search over the
-#: PR 9 interpreter baseline, enforced per kernel backend in full mode.
+#: interpreter baseline, enforced in full mode.
 #: (The PR's own acceptance target is 10x; 5x is the regression gate.)
 DISPROVER_SPEEDUP_TARGET = 5.0
 
@@ -89,13 +88,16 @@ def _run_grid(pairs, catalog, **knobs):
     }
 
 
-def _run_backend(smoke, catalog):
+def run(smoke=False):
+    started = time.perf_counter()
+    catalog = _catalog()
     pairs = _corpus(smoke)
     interp = _run_grid(pairs, catalog, use_compiled=False)
     compiled = _run_grid(pairs, catalog, use_compiled=True)
     mismatches = sum(1 for a, b in zip(interp["rows"], compiled["rows"])
                      if a != b)
     return {
+        "wall_seconds": time.perf_counter() - started,
         "pairs": len(pairs),
         "interp_seconds": interp["wall_seconds"],
         "compiled_seconds": compiled["wall_seconds"],
@@ -108,36 +110,19 @@ def _run_backend(smoke, catalog):
     }
 
 
-def run(smoke=False):
-    started = time.perf_counter()
-    catalog = _catalog()
-    backends = {}
-    for backend in ("arena", "object"):
-        previous = set_kernel_backend(backend)
-        try:
-            backends[backend] = _run_backend(smoke, catalog)
-        finally:
-            set_kernel_backend(previous)
-    return {
-        "wall_seconds": time.perf_counter() - started,
-        "backends": backends,
-    }
-
-
 def check(result, smoke):
     """Gate failures (list of messages); speedups ungated in smoke mode."""
     failures = []
-    for backend, row in result["backends"].items():
-        if row["verdict_mismatches"]:
-            failures.append(
-                f"disprover[{backend}]: {row['verdict_mismatches']} "
-                f"pair(s) where interpreter / compiled "
-                f"disagree on the verdict or witness")
-        if not smoke and row["compiled_speedup"] < DISPROVER_SPEEDUP_TARGET:
-            failures.append(
-                f"disprover[{backend}]: compiled speedup "
-                f"{row['compiled_speedup']:.2f}x below the "
-                f"{DISPROVER_SPEEDUP_TARGET:.1f}x target")
+    if result["verdict_mismatches"]:
+        failures.append(
+            f"disprover: {result['verdict_mismatches']} "
+            f"pair(s) where interpreter / compiled "
+            f"disagree on the verdict or witness")
+    if not smoke and result["compiled_speedup"] < DISPROVER_SPEEDUP_TARGET:
+        failures.append(
+            f"disprover: compiled speedup "
+            f"{result['compiled_speedup']:.2f}x below the "
+            f"{DISPROVER_SPEEDUP_TARGET:.1f}x target")
     return failures
 
 
@@ -152,13 +137,12 @@ def main(argv=None):
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
-        for backend, row in result["backends"].items():
-            print(f"{backend}: {row['instances']} instances / "
-                  f"{row['pairs']} pairs — interp "
-                  f"{row['interp_seconds'] * 1e3:.0f} ms, compiled "
-                  f"{row['compiled_seconds'] * 1e3:.0f} ms "
-                  f"({row['compiled_speedup']:.1f}x), "
-                  f"{row['verdict_mismatches']} mismatch(es)")
+        print(f"{result['instances']} instances / "
+              f"{result['pairs']} pairs — interp "
+              f"{result['interp_seconds'] * 1e3:.0f} ms, compiled "
+              f"{result['compiled_seconds'] * 1e3:.0f} ms "
+              f"({result['compiled_speedup']:.1f}x), "
+              f"{result['verdict_mismatches']} mismatch(es)")
     failures = check(result, args.smoke)
     for message in failures:
         print(f"FAIL: {message}", file=sys.stderr)

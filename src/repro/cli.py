@@ -355,9 +355,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     use ``--json`` in CI to smoke-test that the registry serializes.
     """
     from .core.intern import kernel_stats
-    # kernel_stats() first: reading the arena section refreshes the
-    # ``kernel.arena.*`` gauges, so the registry snapshot taken after it
-    # includes the arena occupancy/hit figures (CI smoke-asserts this).
+    # CI smoke-asserts the ``interned_nodes`` and ``normalize_hits`` keys.
     kernel = kernel_stats()
     snapshot = REGISTRY.snapshot()
     if args.json:

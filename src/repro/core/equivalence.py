@@ -1038,60 +1038,13 @@ def check_query_equivalence(q1, q2, ctx_schema=None,
     then decide (tactics + Ltac-style search).
     """
     from .denote import denote_closed
-    from .intern import kernel_backend
     from .schema import EMPTY
 
     ctx_schema = EMPTY if ctx_schema is None else ctx_schema
-    if kernel_backend() == "arena":
-        from .arena import ArenaUnsupported
-        try:
-            return _check_query_arena(q1, q2, ctx_schema, hyps,
-                                      depth=depth, stats=stats)
-        except ArenaUnsupported:
-            pass  # exotic payload: fall back to the object pipeline
     d1 = denote_closed(q1, ctx_schema)
     d2 = denote_closed(q2, ctx_schema)
     lhs, rhs = align_denotations(d1, d2)
     return check_uterm_equivalence(lhs, rhs, hyps, depth=depth, stats=stats)
-
-
-def _check_query_arena(q1, q2, ctx_schema, hyps: Hypotheses, *,
-                       depth: int, stats: Optional[ProofStats]
-                       ) -> EquivalenceResult:
-    """Arena-backend fast path: denote, align and normalize as flat ids.
-
-    Mirrors the object route (``denote_closed`` ×2 → ``align_denotations``
-    → ``check_uterm_equivalence``) without ever materialising the
-    denotation bodies as interned objects — only the two normal forms are
-    decoded, for :func:`decide_nsums` and the result payload.  Raises
-    :class:`~repro.core.arena.ArenaUnsupported` for payloads the arena
-    cannot hold; the caller falls back to the object path.
-    """
-    from .arena import arena, arena_denote_closed
-    from .intern import intern_stats
-    from .normalize import normalize_arena_id, normalize_stats
-
-    if stats is None:
-        stats = ProofStats()
-    ar = arena()
-    s1, g1, t1, b1 = arena_denote_closed(q1, ctx_schema)
-    s2, g2, t2, b2 = arena_denote_closed(q2, ctx_schema)
-    if s1 != s2:
-        raise SchemaMismatchError(
-            f"output schemas differ: {s1} vs {s2}")
-    rhs = ar.align_body(b2, g2, t2, g1, t1)
-    before = normalize_stats()
-    n1 = normalize_arena_id(ar, b1)
-    n2 = normalize_arena_id(ar, rhs)
-    after = normalize_stats()
-    stats.normalize_hits += int(
-        after["lifetime_hits"] - before["lifetime_hits"])
-    stats.normalize_misses += int(
-        after["lifetime_misses"] - before["lifetime_misses"])
-    stats.interned_nodes = intern_stats()["interned_nodes"]
-    stats.log(f"normalized LHS to {len(n1.products)} clause(s)")
-    stats.log(f"normalized RHS to {len(n2.products)} clause(s)")
-    return decide_nsums(n1, n2, hyps, depth=depth, stats=stats)
 
 
 def queries_equivalent(q1, q2, ctx_schema=None,

@@ -35,8 +35,9 @@ keys identify children by ``id`` — sound because a table entry keeps its
 children alive, so their ids cannot be reused.  (Earlier revisions used
 ``weakref.WeakValueDictionary`` here; the strong table drops the
 KeyedRef allocation and deref from the constructor — the single largest
-line in the cold prover profile — and matches the arena columns, which
-pin decoded nodes until ``reset_arena`` anyway.)
+line in the cold prover profile.)  What keeps the tables small is the
+normalizer: it builds intermediate clauses as plain tuples and interns
+only refined normal forms, so throwaway clauses never win a slot.
 
 Pickling re-interns: interned classes reduce to ``(cls, field_values)``,
 so a term crossing the batch service's process boundary is reconstructed
@@ -61,7 +62,6 @@ memo table used by the kernel's caching layers (``normalize``,
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import fields as _dataclass_fields
@@ -72,54 +72,8 @@ __all__ = [
     "clear_kernel_caches",
     "intern_stats",
     "interned",
-    "kernel_backend",
     "kernel_stats",
-    "set_kernel_backend",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Kernel backend selection (REPRO_KERNEL=arena|object)
-#
-# ``arena`` routes ``normalize`` through the flat int-indexed arena kernel
-# (:mod:`repro.core.arena`); ``object`` keeps the recursive object-graph
-# normalizer.  Both produce interned object normal forms, so everything
-# downstream of ``normalize`` is backend-agnostic.  The switch lives here
-# (rather than in the arena module) because it must be importable from
-# ``normalize`` without a cycle.
-# ---------------------------------------------------------------------------
-
-_VALID_BACKENDS = ("arena", "object")
-
-
-def _env_backend() -> str:
-    value = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    return value if value in _VALID_BACKENDS else "arena"
-
-
-_KERNEL_BACKEND = _env_backend()
-
-
-def kernel_backend() -> str:
-    """The active term-kernel backend: ``"arena"`` or ``"object"``."""
-    return _KERNEL_BACKEND
-
-
-def set_kernel_backend(name: str) -> str:
-    """Select the term-kernel backend process-wide; returns the previous one.
-
-    The choice only affects *how* normal forms are computed, never what
-    they are (up to alpha-equivalence), so switching mid-process is safe;
-    the ``normalize`` memo keys results per backend.
-    """
-    global _KERNEL_BACKEND
-    if name not in _VALID_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected one of "
-            f"{_VALID_BACKENDS}")
-    previous = _KERNEL_BACKEND
-    _KERNEL_BACKEND = name
-    return previous
 
 
 # ---------------------------------------------------------------------------
@@ -579,19 +533,11 @@ def intern_stats() -> Dict[str, int]:
 
 
 def kernel_stats() -> Dict[str, Any]:
-    """One dict with every kernel counter (interning + memo tables + arena).
-
-    Reading the arena section also refreshes the ``kernel.arena.*``
-    gauges in the observability registry (see ``arena_stats``).
-    """
+    """One dict with every kernel counter (interning + memo tables)."""
     stats: Dict[str, Any] = dict(intern_stats())
-    stats["backend"] = kernel_backend()
     for cache in _KERNEL_CACHES:
         for key, value in cache.stats().items():
             stats[f"{cache.name}_{key}"] = value
-    from .arena import arena_stats
-    for key, value in arena_stats().items():
-        stats[f"arena_{key}"] = value
     return stats
 
 

@@ -22,14 +22,22 @@ squashed/negated normal forms (for DISTINCT/EXISTS/OR and NOT/EXCEPT).
 The equivalence checker (:mod:`repro.core.equivalence`) then decides
 equality of normal forms by AC matching, congruence closure, and
 homomorphism search.
+
+Only results are interned.  Translation and refinement build clauses as
+plain ``(vars, factors)`` tuples (factors in the canonical order of
+:func:`_canonize_product`), and ``NProduct``/``NSum`` nodes are made
+only for refined clauses and for the contents of squash/negation atoms;
+the intern tables live as long as the process, so every intermediate
+clause interned there would be garbage the cyclic collector keeps
+re-scanning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .intern import KernelLRU, interned, kernel_backend
+from .intern import KernelLRU, interned
 from .schema import Empty, Node
 from .uninomial import (
     Substitution,
@@ -216,6 +224,10 @@ class NSum:
 NSUM_ZERO = NSum(())
 NPRODUCT_ONE = NProduct((), ())
 NSUM_ONE = NSum((NPRODUCT_ONE,))
+
+#: A clause under construction: ``(vars, factors)``, the factors in
+#: :func:`_canonize_product` order.
+Clause = Tuple[Tuple[TVar, ...], Tuple[Atom, ...]]
 
 
 def _atom_is_prop(atom: Atom) -> bool:
@@ -605,31 +617,12 @@ def normalize(u: UTerm) -> NSum:
     result is determined by the term up to the choice of globally fresh
     binder names, and binders of a normal form are never reused as free
     variables elsewhere.
-
-    Dispatches on the active kernel backend (``REPRO_KERNEL=arena|object``,
-    see :func:`repro.core.intern.set_kernel_backend`): the arena backend
-    runs the same rewrites over flat int ids and decodes the result back
-    into interned objects; inputs the arena cannot represent fall back to
-    the object pipeline.  The memo is keyed per backend so the
-    differential test suite can exercise both sides in one process.
     """
-    backend = kernel_backend()
-    key = u if backend == "object" else (u, backend)
-    hit = _NORMALIZE_MEMO.get(key)
+    hit = _NORMALIZE_MEMO.get(u)
     if hit is not None:
         return hit
-    if backend == "arena":
-        # Imported here (not at module top) to break the normalize ⇄
-        # arena cycle, but eagerly at first *module* use via the
-        # module-bottom import below — a lazy first import inside a
-        # timed region costs ~15 ms of compile.
-        try:
-            nsum = arena_normalize(u)
-        except ArenaUnsupported:
-            nsum = _refine_nsum(_translate(u))
-    else:
-        nsum = _refine_nsum(_translate(u))
-    _NORMALIZE_MEMO.put(key, nsum)
+    nsum = _refine_nsum(_translate(u))
+    _NORMALIZE_MEMO.put(u, nsum)
     return nsum
 
 
@@ -638,92 +631,71 @@ def normalize_stats() -> Dict[str, float]:
     return _NORMALIZE_MEMO.stats()
 
 
-def normalize_arena_id(ar, uid: int) -> NSum:
-    """Normal form of an arena UniNomial id (arena-backend fast path).
+def _translate(u: UTerm) -> Tuple[Clause, ...]:
+    """Structural translation; distributes × over + and hoists Σ.
 
-    Shares ``normalize``'s memo — and therefore its hit/miss counters —
-    keyed on the arena epoch + id, so ``ProofStats`` and the pipeline
-    report the same traffic whether a term arrives as an interned object
-    or as an id that never left the arena.
+    Returns the sum as a tuple of plain (un-interned) clauses.
     """
-    key = ("arena-id", ar.epoch, uid)
-    hit = _NORMALIZE_MEMO.get(key)
-    if hit is not None:
-        return hit
-    nsum = ar.normalize_uid(uid)
-    _NORMALIZE_MEMO.put(key, nsum)
-    return nsum
-
-
-def _translate(u: UTerm) -> NSum:
-    """Structural translation; distributes × over + and hoists Σ."""
     if isinstance(u, UZero):
-        return NSUM_ZERO
+        return ()
     if isinstance(u, UOne):
-        return NSUM_ONE
+        return (((), ()),)
     if isinstance(u, UAdd):
-        left = _translate(u.left)
-        right = _translate(u.right)
-        return NSum(left.products + right.products)
+        return _translate(u.left) + _translate(u.right)
     if isinstance(u, UMul):
         left = _translate(u.left)
         right = _translate(u.right)
-        out: List[NProduct] = []
-        for p in left.products:
-            for q in right.products:
-                q2 = _freshen(q)
-                out.append(NProduct(p.vars + q2.vars, p.factors + q2.factors))
-        return NSum(tuple(out))
+        out: List[Clause] = []
+        for p_vars, p_factors in left:
+            for q in right:
+                q_vars, q_factors = _freshen(q)
+                out.append(_canonize_product((p_vars + q_vars,
+                                              p_factors + q_factors)))
+        return tuple(out)
     if isinstance(u, USum):
-        inner = _translate(u.body)
         out = []
-        for p in inner.products:
+        for variables, factors in _translate(u.body):
             renamed = fresh_var(u.var.var_schema, _hint(u.var))
-            p2 = product_subst(p, {u.var: renamed})
-            out.append(NProduct((renamed,) + p2.vars, p2.factors))
-        return NSum(tuple(out))
+            sub = {u.var: renamed}
+            out.append(_canonize_product((
+                (renamed,) + variables,
+                tuple(atom_subst(f, sub) for f in factors))))
+        return tuple(out)
     if isinstance(u, USquash):
-        return _squash_nsum(_translate(u.arg))
+        return (((), (ASquash(_nsum_of(_translate(u.arg))),)),)
     if isinstance(u, UNeg):
-        return _neg_nsum(_translate(u.arg))
+        return (((), (ANeg(_nsum_of(_translate(u.arg))),)),)
     if isinstance(u, UEq):
         factors = _eq_factors(u.left, u.right)
         if factors is None:
-            return NSUM_ZERO
-        return NSum((NProduct((), tuple(factors)),))
+            return ()
+        return (_canonize_product(((), factors)),)
     if isinstance(u, URel):
-        return NSum((NProduct((), (ARel(u.name, u.arg),)),))
+        return (((), (ARel(u.name, u.arg),)),)
     if isinstance(u, UPred):
-        return NSum((NProduct((), (APred(u.name, u.args),)),))
+        return (((), (APred(u.name, u.args),)),)
     raise TypeError(f"not a UTerm: {u!r}")
 
 
-def _squash_nsum(inner: NSum) -> NSum:
-    """Wrap a normal form in a truncation atom (simplified during refinement)."""
-    return NSum((NProduct((), (ASquash(inner),)),))
-
-
-def _neg_nsum(inner: NSum) -> NSum:
-    """Wrap a normal form in a negation atom (simplified during refinement)."""
-    return NSum((NProduct((), (ANeg(inner),)),))
+def _nsum_of(clauses: Sequence[Clause]) -> NSum:
+    """Intern a translated sum (the content of a squash/negation atom)."""
+    return NSum(tuple(NProduct(v, f) for v, f in clauses))
 
 
 def _hint(var: TVar) -> str:
     return var.name.split("$")[0]
 
 
-def _freshen(product: NProduct) -> NProduct:
+def _freshen(clause: Clause) -> Clause:
     """Rename all binders of a clause to globally fresh variables."""
-    if not product.vars:
-        return product
+    variables, factors = clause
+    if not variables:
+        return clause
     sub: Substitution = {}
-    new_vars = []
-    for v in product.vars:
-        nv = fresh_var(v.var_schema, _hint(v))
-        sub[v] = nv
-        new_vars.append(nv)
-    return NProduct(tuple(new_vars),
-                    tuple(atom_subst(f, sub) for f in product.factors))
+    for v in variables:
+        sub[v] = fresh_var(v.var_schema, _hint(v))
+    return _canonize_product((tuple(sub.values()),
+                              tuple(atom_subst(f, sub) for f in factors)))
 
 
 def _eq_factors(left: Term, right: Term) -> Optional[List[Atom]]:
@@ -756,46 +728,52 @@ def _eq_factors(left: Term, right: Term) -> Optional[List[Atom]]:
 # Clause refinement: variable splitting, point elimination, squash laws
 # ---------------------------------------------------------------------------
 
-def _refine_nsum(nsum: NSum) -> NSum:
+def _refine_nsum(clauses: Iterable[Clause]) -> NSum:
     out: List[NProduct] = []
-    for p in nsum.products:
-        refined = _refine_product(p)
+    for clause in clauses:
+        refined = _refine_product(clause)
         if refined is not None:
             out.append(refined)
     return NSum(tuple(out))
 
 
-def _refine_product(product: NProduct) -> Optional[NProduct]:
+def _split_var(var: TVar, leaves: List[TVar]) -> Term:
+    """Lemma 5.1 down to the leaves: the term replacing a bound variable.
+
+    A pair-typed variable becomes a (nested) pair of fresh variables and a
+    unit-typed one becomes ``()``; surviving leaf variables are appended
+    to ``leaves`` left to right.  Both fresh halves are created before
+    either is split, left half first, so fresh names do not depend on
+    whether the split runs in one pass or one binder at a time.
+    """
+    schema = var.var_schema
+    if isinstance(schema, Empty):
+        return TUnit()
+    if isinstance(schema, Node):
+        v1 = fresh_var(schema.left, _hint(var))
+        v2 = fresh_var(schema.right, _hint(var))
+        return tpair(_split_var(v1, leaves), _split_var(v2, leaves))
+    leaves.append(var)
+    return var
+
+
+def _refine_product(clause: Clause) -> Optional[NProduct]:
     """Apply Lemmas 5.1/5.2 and squash simplification to a fixpoint.
 
     Returns ``None`` when the clause denotes the empty type.
     """
-    vars_list = list(product.vars)
-    factors = list(product.factors)
+    # Lemma 5.1 — split bound pair variables; drop unit variables.
+    vars_list: List[TVar] = []
+    sub: Dict[TVar, Term] = {}
+    for var in clause[0]:
+        replacement = _split_var(var, vars_list)
+        if replacement is not var:
+            sub[var] = replacement
+    factors = [atom_subst(f, sub) for f in clause[1]]
 
     changed = True
     while changed:
         changed = False
-
-        # Lemma 5.1 — split bound pair variables; drop unit variables.
-        for i, var in enumerate(vars_list):
-            schema = var.var_schema
-            if isinstance(schema, Empty):
-                sub = {var: _unit_term()}
-                del vars_list[i]
-                factors = [atom_subst(f, sub) for f in factors]
-                changed = True
-                break
-            if isinstance(schema, Node):
-                v1 = fresh_var(schema.left, _hint(var))
-                v2 = fresh_var(schema.right, _hint(var))
-                sub = {var: tpair(v1, v2)}
-                vars_list[i:i + 1] = [v1, v2]
-                factors = [atom_subst(f, sub) for f in factors]
-                changed = True
-                break
-        if changed:
-            continue
 
         # Re-decompose equalities whose sides became pairs, detect refutation.
         new_factors: List[Atom] = []
@@ -852,11 +830,6 @@ def _refine_product(product: NProduct) -> Optional[NProduct]:
     # No sort: NProduct construction establishes the canonical factor
     # order via the interned order key.
     return NProduct(tuple(vars_list), tuple(factors))
-
-
-def _unit_term() -> Term:
-    from .uninomial import TUnit
-    return TUnit()
 
 
 def _pinned_var(atom: AEq, bound: Sequence[TVar]) -> Optional[Tuple[TVar, Term]]:
@@ -924,14 +897,14 @@ def _simplify_nested(factors: List[Atom]) -> Tuple[bool, Optional[List[Atom]]]:
     return changed, out
 
 
-def _dedup_under_squash(nsum: NSum) -> NSum:
+def _dedup_under_squash(nsum: NSum) -> List[Clause]:
     """Under ‖·‖ (or → 0), duplicates do not matter: ``‖n × n‖ = ‖n‖``.
 
     Deduplicates identical factors within each clause and identical clauses
     within the sum.  Only sound under a truncation, which is the only place
     this is called.
     """
-    out_products = []
+    out: List[Clause] = []
     seen_product_keys = set()
     for p in nsum.products:
         factor_keys = set()
@@ -945,12 +918,13 @@ def _dedup_under_squash(nsum: NSum) -> NSum:
                 continue
             factor_keys.add(key)
             dedup_factors.append(f)
-        q = NProduct(p.vars, tuple(dedup_factors))
-        q_key = product_alpha_key(q)
+        if len(dedup_factors) != len(p.factors):
+            p = NProduct(p.vars, tuple(dedup_factors))
+        q_key = product_alpha_key(p)
         if q_key not in seen_product_keys:
             seen_product_keys.add(q_key)
-            out_products.append(q)
-    return NSum(tuple(out_products))
+            out.append((p.vars, p.factors))
+    return out
 
 
 def _pull_props(inner: NSum) -> Tuple[List[Atom], Optional[NSum]]:
@@ -997,10 +971,3 @@ __all__ = [
     "product_subst",
     "product_to_uterm",
 ]
-
-# Imported last: the arena mirrors this module's rewrites over flat int
-# ids and lazily imports the normal-form classes above for decoding, so
-# the import must come after they exist.  Importing it at module load
-# (rather than on the first arena-backend ``normalize`` call) keeps the
-# ~15 ms compile of the arena module out of callers' timed regions.
-from .arena import ArenaUnsupported, arena_normalize  # noqa: E402

@@ -88,12 +88,6 @@ class PipelineConfig:
     #: cache inconclusive (UNKNOWN) verdicts too?  Off by default so a
     #: later run with a bigger budget is not short-circuited.
     cache_unknown: bool = False
-    #: term-kernel backend this pipeline selects: ``"arena"`` (flat
-    #: int-indexed arena tables), ``"object"`` (the historical interned
-    #: object walkers), or ``None`` to leave the process-wide choice
-    #: (``REPRO_KERNEL`` env, default arena) untouched.  The backend
-    #: only changes *how* normal forms are computed, never the verdicts.
-    kernel: Optional[str] = None
 
 
 DEFAULT_CONFIG = PipelineConfig()
@@ -224,9 +218,6 @@ class Pipeline:
                  cache: Optional[ProofCache] = None,
                  cache_path: Optional[str] = None) -> None:
         self.config = config or DEFAULT_CONFIG
-        if self.config.kernel is not None:
-            from ..core.intern import set_kernel_backend
-            set_kernel_backend(self.config.kernel)
         self.cache = cache if cache is not None \
             else ProofCache(path=cache_path)
 

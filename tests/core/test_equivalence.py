@@ -27,6 +27,8 @@ from repro.core.uninomial import (
     USum,
     fresh_var,
 )
+from repro.errors import SchemaMismatchError
+from repro.sql import Catalog, compile_sql
 
 SR = SVar("sR")
 T = TVar("t", SR)
@@ -174,3 +176,26 @@ class TestQueryLevel:
 
     def test_true_where_is_identity(self):
         assert queries_equivalent(ast.Where(R, ast.PredTrue()), R)
+
+
+class TestSqlQueries:
+    @pytest.fixture
+    def catalog(self):
+        cat = Catalog()
+        cat.add_table("Emp", [("eid", INT), ("did", INT), ("age", INT)])
+        return cat
+
+    def test_output_schema_mismatch_raises(self, catalog):
+        q1 = compile_sql("SELECT eid FROM Emp", catalog).query
+        q2 = compile_sql("SELECT eid, did FROM Emp", catalog).query
+        with pytest.raises(SchemaMismatchError):
+            check_query_equivalence(q1, q2)
+
+    def test_verdicts(self, catalog):
+        dedup = compile_sql(
+            "SELECT eid FROM Emp WHERE eid = 1 AND eid = 1", catalog).query
+        plain = compile_sql(
+            "SELECT eid FROM Emp WHERE eid = 1", catalog).query
+        assert check_query_equivalence(dedup, plain).equal
+        other = compile_sql("SELECT did FROM Emp", catalog).query
+        assert not check_query_equivalence(plain, other).equal

@@ -483,107 +483,6 @@ def test_intern_stats_shape():
     assert all(isinstance(v, int) for v in stats.values())
 
 
-# ---------------------------------------------------------------------------
-# Differential suite: arena backend vs object backend (hypothesis)
-# ---------------------------------------------------------------------------
-#
-# The arena-compiled kernel recomputes normal forms over flat int ids;
-# the object backend is the frozen reference.  Both must agree — up to
-# alpha-equivalence for normal forms, exactly for alpha keys, free
-# variables, and equivalence verdicts.  The ``normalize`` memo is keyed
-# per backend, so each example genuinely computes both sides.  Four
-# properties x 80 examples = 320 differential cases per run.
-
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
-
-from repro.core.equivalence import (
-    check_query_equivalence,
-    check_uterm_equivalence,
-)
-from repro.core.intern import set_kernel_backend
-
-_DIFF_SETTINGS = settings(max_examples=80, deadline=None,
-                          suppress_health_check=(HealthCheck.too_slow,))
-_seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-def _on_backend(backend, fn):
-    previous = set_kernel_backend(backend)
-    try:
-        return fn()
-    finally:
-        set_kernel_backend(previous)
-
-
-@_DIFF_SETTINGS
-@given(_seeds)
-def test_differential_normalize_alpha_equal(seed):
-    u = Gen(seed).uterm()
-    arena = _on_backend("arena", lambda: normalize(u))
-    obj = _on_backend("object", lambda: normalize(u))
-    assert nsums_alpha_equal(arena, obj), \
-        f"backends disagree on the normal form of {u}"
-
-
-@_DIFF_SETTINGS
-@given(_seeds)
-def test_differential_alpha_keys(seed):
-    u = Gen(seed).uterm()
-    arena = _on_backend("arena", lambda: nsum_alpha_key(normalize(u)))
-    obj = _on_backend("object", lambda: nsum_alpha_key(normalize(u)))
-    assert arena == obj
-
-
-@_DIFF_SETTINGS
-@given(_seeds)
-def test_differential_free_vars(seed):
-    u = Gen(seed).uterm()
-    arena = _on_backend("arena", lambda: nsum_free_vars(normalize(u)))
-    obj = _on_backend("object", lambda: nsum_free_vars(normalize(u)))
-    assert arena == obj, \
-        "free variables are alpha-invariant and must match exactly"
-
-
-@_DIFF_SETTINGS
-@given(_seeds)
-def test_differential_equivalence_verdicts(seed):
-    gen = Gen(seed)
-    u1 = gen.uterm()
-    # Half alpha-variants (must be judged equal by both), half unrelated
-    # terms (both must return the *same* verdict, whatever it is).
-    u2 = _clone_uterm(u1) if seed % 2 else Gen(seed + 1).uterm()
-    arena = _on_backend(
-        "arena", lambda: check_uterm_equivalence(u1, u2).equal)
-    obj = _on_backend(
-        "object", lambda: check_uterm_equivalence(u1, u2).equal)
-    assert arena == obj
-
-
-def test_differential_query_verdicts_both_backends():
-    """End-to-end: the query-level arena fast path and the object route
-    return the same verdicts on equivalent and inequivalent pairs."""
-    from repro import Session
-
-    with Session.from_tables("R(a:int,b:int)") as s:
-        pairs = [
-            (s.sql("SELECT a FROM R WHERE a = 1 AND a = 1").query,
-             s.sql("SELECT a FROM R WHERE a = 1").query),
-            (s.sql("SELECT x.a FROM R x, R y WHERE x.a = y.b").query,
-             s.sql("SELECT x.a FROM R x, R y WHERE y.b = x.a").query),
-            (s.sql("SELECT DISTINCT a FROM R").query,
-             s.sql("SELECT DISTINCT a FROM R WHERE a = a").query),
-            (s.sql("SELECT a FROM R").query,
-             s.sql("SELECT b FROM R").query),
-        ]
-    for q1, q2 in pairs:
-        arena = _on_backend(
-            "arena", lambda: check_query_equivalence(q1, q2).equal)
-        obj = _on_backend(
-            "object", lambda: check_query_equivalence(q1, q2).equal)
-        assert arena == obj, f"backends disagree on {q1} vs {q2}"
-
-
 def test_kernel_lru_reset_cannot_under_report_hits():
     """A metrics-window ``reset()`` racing a hitter thread must not lose
     hits: the lifetime counters are monotonic and the snapshot/reset

@@ -22,7 +22,7 @@ from repro.core.normalize import (
     nsum_alpha_key,
     nsum_to_uterm,
 )
-from repro.core.schema import INT, Leaf, Node, enumerate_tuples
+from repro.core.schema import EMPTY, INT, Leaf, Node, enumerate_tuples
 from repro.core.uninomial import (
     ONE,
     TConst,
@@ -48,45 +48,72 @@ from repro.semiring import NAT
 
 DOMAINS = {"int": (0, 1)}
 SCHEMA = Node(Leaf(INT), Leaf(INT))
+#: A binder whose left half is itself a pair: Lemma 5.1 splits it into
+#: three leaves.
+NESTED = Node(Node(Leaf(INT), Leaf(INT)), Leaf(INT))
+#: Σ-binder schemas besides the flat pair that a generated term binds:
+#: none, or a nested pair and the unit type (which Lemma 5.1 drops).
+EXTRA_BINDERS = ((), (NESTED, EMPTY))
 
 
 def _random_term(rng: random.Random, scope):
     """A random tuple term over the variables in scope."""
     var = rng.choice(scope)
     choice = rng.randrange(4)
-    if choice == 0:
+    if choice == 3:
+        return TConst(rng.randrange(2), INT)
+    if var.var_schema == EMPTY:
         return var
-    if choice == 1:
-        return tfst(var)
-    if choice == 2:
-        return tsnd(var)
-    return TConst(rng.randrange(2), INT)
+    term = (var, tfst(var), tsnd(var))[choice]
+    if var.var_schema == NESTED and choice == 1 and rng.randrange(2):
+        term = rng.choice((tfst(term), tsnd(term)))
+    return term
 
 
-def _random_uterm(rng: random.Random, scope, depth: int) -> UTerm:
+def _relation_arg(rng: random.Random, scope):
+    """A random ``SCHEMA``-typed term (a relation's argument)."""
+    return rng.choice([var if var.var_schema == SCHEMA else tfst(var)
+                       for var in scope if var.var_schema != EMPTY])
+
+
+def _random_uterm(rng: random.Random, scope, depth: int,
+                  binders=(SCHEMA,)) -> UTerm:
     """A random UniNomial term with free variables from ``scope``."""
     choice = rng.randrange(8 if depth > 0 else 4)
     if choice == 0:
-        return URel(rng.choice(("R", "S")), rng.choice(scope))
+        return URel(rng.choice(("R", "S")), _relation_arg(rng, scope))
     if choice == 1:
         left = _random_term(rng, scope)
         right = _random_term(rng, scope)
         return UEq(left, right) if _schemas_match(left, right) \
-            else URel("R", rng.choice(scope))
+            else URel("R", _relation_arg(rng, scope))
     if choice == 2:
         return UPred("b", (rng.choice(scope),))
     if choice == 3:
         return rng.choice((ZERO, ONE))
     if choice == 4:
-        return UAdd(_random_uterm(rng, scope, depth - 1),
-                    _random_uterm(rng, scope, depth - 1))
+        return UAdd(_random_uterm(rng, scope, depth - 1, binders),
+                    _random_uterm(rng, scope, depth - 1, binders))
     if choice == 5:
-        return UMul(_random_uterm(rng, scope, depth - 1),
-                    _random_uterm(rng, scope, depth - 1))
+        return UMul(_random_uterm(rng, scope, depth - 1, binders),
+                    _random_uterm(rng, scope, depth - 1, binders))
     if choice == 6:
-        return USquash(_random_uterm(rng, scope, depth - 1))
-    var = fresh_var(SCHEMA, "z")
-    return USum(var, _random_uterm(rng, scope + [var], depth - 1))
+        return USquash(_random_uterm(rng, scope, depth - 1, binders))
+    var = fresh_var(rng.choice(binders), "z")
+    return USum(var, _random_uterm(rng, scope + [var], depth - 1, binders))
+
+
+def _random_input(rng: random.Random, extra) -> UTerm:
+    """A random term over one free variable, under a Σ per ``extra``
+    schema whose variable the body may use (and inner Σs draw their
+    binder schemas from ``extra`` too)."""
+    root = fresh_var(SCHEMA, "t")
+    bound = [fresh_var(schema, "z") for schema in extra]
+    u = _random_uterm(rng, [root] + bound, depth=3,
+                      binders=(SCHEMA,) + extra)
+    for var in reversed(bound):
+        u = USum(var, u)
+    return u
 
 
 def _schemas_match(a, b) -> bool:
@@ -115,22 +142,20 @@ def _interp(rng: random.Random) -> Interpretation:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9))
-def test_normalize_is_idempotent(seed):
+@given(st.integers(0, 10**9), st.sampled_from(EXTRA_BINDERS))
+def test_normalize_is_idempotent(seed, extra):
     rng = random.Random(seed)
-    root = fresh_var(SCHEMA, "t")
-    u = _random_uterm(rng, [root], depth=3)
+    u = _random_input(rng, extra)
     once = normalize(u)
     twice = normalize(nsum_to_uterm(once))
     assert nsum_alpha_key(once) == nsum_alpha_key(twice)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**9))
-def test_normalize_preserves_interpretation(seed):
+@given(st.integers(0, 10**9), st.sampled_from(EXTRA_BINDERS))
+def test_normalize_preserves_interpretation(seed, extra):
     rng = random.Random(seed)
-    root = fresh_var(SCHEMA, "t")
-    u = _random_uterm(rng, [root], depth=3)
+    u = _random_input(rng, extra)
     normalized = nsum_to_uterm(normalize(u))
     interp = _interp(rng)
     for _ in range(4):

@@ -3,15 +3,16 @@
 The flat-program compiler (:mod:`repro.engine.compile`) is the
 disprover's hot path, so it is pinned to :func:`repro.engine.eval.
 run_query` on a corpus of SQL shapes × random instances × semirings ×
-kernel backends.  Any disagreement here is a soundness bug: a compiled
-disprover could report a phantom counterexample or miss a real one.
+kernel memo states (cleared, warm).  Any disagreement here is a
+soundness bug: a compiled disprover could report a phantom
+counterexample or miss a real one.
 """
 
 import random
 
 import pytest
 
-from repro.core.intern import set_kernel_backend
+from repro.core.intern import clear_kernel_caches
 from repro.core.schema import INT, Leaf, Node
 from repro.engine import (
     COMPILED_SEMIRINGS,
@@ -84,77 +85,77 @@ def _assert_parity(query, interp, semiring):
     assert got == expected
 
 
-@pytest.mark.parametrize("backend", ["arena", "object"])
+# Each case runs twice, under the ids it had when the repo carried two
+# term kernels: the "arena" pass starts from cleared kernel memo tables,
+# the "object" pass reuses whatever earlier cases left warm.  A memo hit
+# must answer exactly as a cold computation.
+MEMO_STATES = ["arena", "object"]
+
+
+def _enter_memo_state(memo):
+    if memo == "arena":
+        clear_kernel_caches()
+
+
+@pytest.mark.parametrize("memo", MEMO_STATES)
 @pytest.mark.parametrize("sql", CORPUS)
-def test_compiled_matches_interpreter(backend, sql, catalog):
-    previous = set_kernel_backend(backend)
-    try:
-        query = compile_sql(sql, catalog).query
-        for semiring in COMPILED_SEMIRINGS:
-            for seed in range(8):
-                _assert_parity(query, _random_interp(seed, semiring),
-                               semiring)
-    finally:
-        set_kernel_backend(previous)
-
-
-@pytest.mark.parametrize("backend", ["arena", "object"])
-@pytest.mark.parametrize("sql", NAT_ONLY_CORPUS)
-def test_compiled_matches_interpreter_aggregates(backend, sql, catalog):
-    previous = set_kernel_backend(backend)
-    try:
-        query = compile_sql(sql, catalog).query
+def test_compiled_matches_interpreter(memo, sql, catalog):
+    _enter_memo_state(memo)
+    query = compile_sql(sql, catalog).query
+    for semiring in COMPILED_SEMIRINGS:
         for seed in range(8):
-            _assert_parity(query, _random_interp(seed, NAT), NAT)
-    finally:
-        set_kernel_backend(previous)
+            _assert_parity(query, _random_interp(seed, semiring),
+                           semiring)
 
 
-@pytest.mark.parametrize("backend", ["arena", "object"])
-def test_exotic_semiring_raises_compile_error(backend, catalog):
-    previous = set_kernel_backend(backend)
-    try:
-        query = compile_sql("SELECT a FROM R", catalog).query
-        with pytest.raises(CompileError):
-            compile_pair(query, query, ("R", "S"), semiring=NAT_INF)
-    finally:
-        set_kernel_backend(previous)
+@pytest.mark.parametrize("memo", MEMO_STATES)
+@pytest.mark.parametrize("sql", NAT_ONLY_CORPUS)
+def test_compiled_matches_interpreter_aggregates(memo, sql, catalog):
+    _enter_memo_state(memo)
+    query = compile_sql(sql, catalog).query
+    for seed in range(8):
+        _assert_parity(query, _random_interp(seed, NAT), NAT)
 
 
-@pytest.mark.parametrize("backend", ["arena", "object"])
+@pytest.mark.parametrize("memo", MEMO_STATES)
+def test_exotic_semiring_raises_compile_error(memo, catalog):
+    _enter_memo_state(memo)
+    query = compile_sql("SELECT a FROM R", catalog).query
+    with pytest.raises(CompileError):
+        compile_pair(query, query, ("R", "S"), semiring=NAT_INF)
+
+
+@pytest.mark.parametrize("memo", MEMO_STATES)
 @pytest.mark.parametrize("semiring", [BOOL, NAT, NAT_INF],
                          ids=lambda s: s.name)
-def test_disprover_verdict_independent_of_evaluator(backend, semiring,
+def test_disprover_verdict_independent_of_evaluator(memo, semiring,
                                                     catalog):
     """The full-search differential guarantee: on every semiring — the
     two compiled ones and the interpreter-fallback ``NAT_INF`` — forcing
     the interpreter and forcing (or auto-choosing) the compiled path
     must agree on witness index, accounting, and exhaustion."""
-    previous = set_kernel_backend(backend)
-    try:
-        pairs = [
-            ("SELECT a FROM R", "SELECT DISTINCT a FROM R"),
-            ("SELECT a FROM R WHERE a = 1", "SELECT a FROM R WHERE a = 1"),
-        ]
-        for sql1, sql2 in pairs:
-            q1 = compile_sql(sql1, catalog).query
-            q2 = compile_sql(sql2, catalog).query
-            interp = disprove(q1, q2, bound=Bound.of(2, 2),
-                              use_compiled=False, semiring=semiring)
-            auto = disprove(q1, q2, bound=Bound.of(2, 2),
-                            semiring=semiring)
-            assert auto.found == interp.found
-            assert auto.instances_checked == interp.instances_checked
-            assert auto.exhausted == interp.exhausted
-            if auto.found:
-                assert auto.counterexample.trial \
-                    == interp.counterexample.trial
-                assert auto.record == interp.record
-            if semiring in COMPILED_SEMIRINGS:
-                forced = disprove(q1, q2, bound=Bound.of(2, 2),
-                                  use_compiled=True, semiring=semiring)
-                assert forced.found == interp.found
-                assert forced.instances_checked \
-                    == interp.instances_checked
-    finally:
-        set_kernel_backend(previous)
+    _enter_memo_state(memo)
+    pairs = [
+        ("SELECT a FROM R", "SELECT DISTINCT a FROM R"),
+        ("SELECT a FROM R WHERE a = 1", "SELECT a FROM R WHERE a = 1"),
+    ]
+    for sql1, sql2 in pairs:
+        q1 = compile_sql(sql1, catalog).query
+        q2 = compile_sql(sql2, catalog).query
+        interp = disprove(q1, q2, bound=Bound.of(2, 2),
+                          use_compiled=False, semiring=semiring)
+        auto = disprove(q1, q2, bound=Bound.of(2, 2),
+                        semiring=semiring)
+        assert auto.found == interp.found
+        assert auto.instances_checked == interp.instances_checked
+        assert auto.exhausted == interp.exhausted
+        if auto.found:
+            assert auto.counterexample.trial \
+                == interp.counterexample.trial
+            assert auto.record == interp.record
+        if semiring in COMPILED_SEMIRINGS:
+            forced = disprove(q1, q2, bound=Bound.of(2, 2),
+                              use_compiled=True, semiring=semiring)
+            assert forced.found == interp.found
+            assert forced.instances_checked \
+                == interp.instances_checked
