@@ -13,7 +13,8 @@ bounded-exhaustive searches:
 The grid mixes witness-producing pairs (DISTINCT vs not over a join —
 the counterexample needs duplicate join output, deep in the
 enumeration order) with equivalent pairs (the search must exhaust the
-entire instance space).  Both configurations must agree exactly on
+entire instance space), one of them over mirrored comparisons, which
+the compiled evaluator emits as infix operators.  Both configurations must agree exactly on
 (found, witness index, instances checked, exhausted) for every pair —
 the differential guarantee — and the compiled row must beat the
 interpreter row by :data:`DISPROVER_SPEEDUP_TARGET` in full mode.
@@ -55,6 +56,10 @@ def _corpus(smoke):
         # Equivalent alpha-variants: exhausts the whole two-table space.
         ("SELECT r.a, s.b FROM R r, S s WHERE r.a = s.b",
          "SELECT x.a, y.b FROM R x, S y WHERE x.a = y.b", bound),
+        # Mirrored comparison (perfbench refute-bounded's ``cmp`` kind):
+        # equivalent, so the search exhausts the space.
+        ("SELECT r.a FROM R r, S s WHERE r.b < s.b",
+         "SELECT r.a FROM R r, S s WHERE s.b > r.b", bound),
     ]
     if not smoke:
         pairs.append(

@@ -6,8 +6,7 @@ for a single oracle run, ruinous for the bounded-exhaustive disprover,
 which evaluates the same two queries on hundreds of thousands of
 enumerated instances.
 
-This module compiles a query **once** into a flat program: each
-relational operator becomes a specialized Python function whose row-level
+This module compiles a query **once** into a flat program.  Row-level
 work — projections, predicates, scalar expressions — is *generated as
 inline Python source* (pure tuple indexing and operator syntax) and
 ``exec``-ed into place.  A projection chain like
@@ -15,9 +14,20 @@ inline Python source* (pure tuple indexing and operator syntax) and
 ``(g[0][1], g[0][0])``, not as a tree of closure calls.  All per-query
 decisions are made at compile time:
 
-* node dispatch — relational operators call their pre-compiled children
-  directly; row-level terms are inlined source, so the per-row cost is
-  what CPython charges for the arithmetic itself;
+* fused SELECT-FROM-WHERE blocks — each maximal chain of ``Select``,
+  ``Where`` and ``Product`` nodes becomes *one* generated loop nest, the
+  paper's ``Σ_{r,s} R(r)·S(s)·[b(r,s)]·[p(r,s) = t]`` read literally:
+  one ``for`` per input, each predicate as an ``if`` inside its input's
+  loops, and the product of the inputs' counts added to the projected
+  row.  No intermediate product or filtered dict is built, and a
+  comparison bound to the stock ``operator.lt``/``le``/``gt``/``ge``/
+  ``eq``/``ne`` is emitted as its infix operator;
+* materialization boundaries — ``DISTINCT``, ``EXCEPT``, ``UNION ALL``
+  and the subqueries of ``EXISTS`` and aggregates stay closures that
+  return a dict; a fused block calls them and scans the result like a
+  table.  A chain deeper than CPython's limit of 20 nested loops a
+  function is split the same way: subtrees past the block's depth
+  budget compile as blocks of their own;
 * symbol resolution — scalar functions, aggregates, comparison
   predicates, and metavariable bindings (from a base
   :class:`~repro.engine.database.Interpretation`) are looked up once and
@@ -38,12 +48,25 @@ Compiled signature convention: every query becomes
 ``f(rels, g) -> Dict[row, count]`` where ``rels`` is the tuple of
 per-table instance dicts, positionally indexed by the table order fixed
 at compile time, and ``g`` is the context tuple (``()`` for closed
-queries).
+queries).  Under ``NAT``, ``SELECT r.a FROM R r, S s WHERE r.b < s.b``
+compiles to::
+
+    def _fn(rels, g):
+        out = {}
+        _get = out.get
+        for _r1, _a2 in rels[0].items():
+            for _r3, _a4 in rels[1].items():
+                if (_r1[1] < _r3[1]):
+                    _k = _r1[0]
+                    out[_k] = _get(_k, 0) + _a2 * _a4
+        return out
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+import operator
+import re
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import ast
 from ..semiring.krelation import KRelation
@@ -180,6 +203,60 @@ class _Env:
         return name
 
 
+#: The row context of a fused block: its ``g`` parameter.
+_G = _atom("g")
+
+#: Fragments cheap enough to re-evaluate at every use: names and
+#: constant subscripts of names.
+_PLAIN = re.compile(r"\(\)|[A-Za-z_]\w*(\[\d+\])*")
+
+#: Comparison callables emitted as the infix operator.  Matched by
+#: identity, so any other binding of a comparison symbol (a rule
+#: instantiator's own ``lt``, say) is still called.
+_INFIX = ((operator.lt, "<"), (operator.le, "<="), (operator.gt, ">"),
+          (operator.ge, ">="), (operator.eq, "=="), (operator.ne, "!="))
+
+#: Operators a fused block absorbs; every other one is a boundary.
+_FUSED = (ast.Select, ast.Where, ast.Product)
+
+#: Loop plus ``if`` levels one fused block may open.  CPython refuses
+#: more than 20 statically nested loops in one function, so a deeper
+#: chain materializes subtrees as their own blocks.
+_MAX_LEVELS = 16
+
+
+class _Block:
+    """One fused loop nest under construction (see ``_Compiler._fused``)."""
+
+    def __init__(self) -> None:
+        self.env = _Env()
+        self.head: List[str] = []      # materialized inputs, computed once
+        self.body: List[str] = []      # the loop nest, indented
+        self.weights: List[str] = []   # per-loop count variables (NAT)
+        self.projects = False          # a Select may map two rows to one
+        self.sink: Optional[Callable[[_Code, int], None]] = None
+        self._names = 0
+
+    def fresh(self, prefix: str) -> str:
+        self._names += 1
+        return f"{prefix}{self._names}"
+
+    def line(self, depth: int, text: str) -> None:
+        self.body.append(f"{'    ' * depth}{text}\n")
+
+    def share(self, code: _Code, depth: int) -> _Code:
+        """Assign each computed leaf of ``code`` to a local, so a row that
+        later operators read several times is computed once."""
+        if code[0] == "pair":
+            return ("pair", self.share(code[1], depth),
+                    self.share(code[2], depth))
+        if _PLAIN.fullmatch(code[1]):
+            return code
+        name = self.fresh("_v")
+        self.line(depth, f"{name} = {code[1]}")
+        return _atom(name)
+
+
 def _build(source_body: str, env: _Env):
     """exec a factory around ``source_body`` and close over the env.
 
@@ -218,68 +295,22 @@ class _Compiler:
         except KeyError as exc:
             raise CompileError(str(exc)) from exc
 
-    # -- queries (closures; one call per instance, not per row) -------------
+    # -- queries -------------------------------------------------------------
+    #
+    # Select/Where/Product chains compile to one fused loop nest (below);
+    # every other operator is a materializing closure, called once per
+    # instance, whose result a fused block scans like a table.
 
     def query(self, q: ast.Query) -> QueryFn:
+        if isinstance(q, _FUSED):
+            return self._fused(q)
+
         if isinstance(q, ast.Table):
             slot = self.slots.get(q.name)
             if slot is not None:
                 return lambda rels, g, _i=slot: rels[_i]
-            rel = self._lookup(self.interp.relation, q.name)
-            baked = relation_to_counts(rel, self.semiring)
+            baked = self._baked(q)
             return lambda rels, g, _d=baked: _d
-
-        if isinstance(q, ast.Select):
-            child = self.query(q.query)
-            env = _Env()
-            row_ctx = ("pair", _atom("g"), _atom("_row"))
-            image = _render(self.projection(q.projection, row_ctx, env))
-            child_ref = env.bind(child)
-            if self.nat:
-                body = (
-                    f"    def _fn(rels, g):\n"
-                    f"        out = {{}}\n"
-                    f"        _get = out.get\n"
-                    f"        for _row, _annot in {child_ref}(rels, g)"
-                    f".items():\n"
-                    f"            _img = {image}\n"
-                    f"            out[_img] = _get(_img, 0) + _annot\n"
-                    f"        return out\n")
-            else:
-                body = (
-                    f"    def _fn(rels, g):\n"
-                    f"        return {{{image}: True "
-                    f"for _row in {child_ref}(rels, g)}}\n")
-            return _build(body, env)
-
-        if isinstance(q, ast.Product):
-            left, right = self.query(q.left), self.query(q.right)
-            if self.nat:
-                def product_nat(rels, g, _l=left, _r=right):
-                    rhs = _r(rels, g)
-                    # Row pairs are unique across both loops, so every
-                    # output key is written exactly once.
-                    return {(r1, r2): a1 * a2
-                            for r1, a1 in _l(rels, g).items()
-                            for r2, a2 in rhs.items()}
-                return product_nat
-
-            def product_bool(rels, g, _l=left, _r=right):
-                rhs = _r(rels, g)
-                return {(r1, r2): True for r1 in _l(rels, g) for r2 in rhs}
-            return product_bool
-
-        if isinstance(q, ast.Where):
-            child = self.query(q.query)
-            env = _Env()
-            row_ctx = ("pair", _atom("g"), _atom("_row"))
-            cond = _render(self.predicate(q.predicate, row_ctx, env))
-            child_ref = env.bind(child)
-            body = (
-                f"    def _fn(rels, g):\n"
-                f"        return {{_row: _annot for _row, _annot in "
-                f"{child_ref}(rels, g).items() if {cond}}}\n")
-            return _build(body, env)
 
         if isinstance(q, ast.UnionAll):
             left, right = self.query(q.left), self.query(q.right)
@@ -320,6 +351,129 @@ class _Compiler:
 
         raise CompileError(f"cannot compile query node: {q!r}")
 
+    def _baked(self, q: ast.Table) -> Dict[Any, Any]:
+        """A table outside the positional layout: a constant of ``interp``."""
+        rel = self._lookup(self.interp.relation, q.name)
+        return relation_to_counts(rel, self.semiring)
+
+    # -- fused select-project-join blocks ------------------------------------
+
+    def _fused(self, q: ast.Query) -> QueryFn:
+        """One generated loop nest computing a Select/Where/Product chain.
+
+        ``Σ_{r,s} R(r)·S(s)·[b(r,s)]·[p(r,s) = t]`` read literally: one
+        loop per input, each predicate as an ``if`` inside its input's
+        loops, and the product of the inputs' counts added to the
+        projected row — no intermediate product or filtered dict.
+        """
+        block = _Block()
+
+        def sink(row: _Code, depth: int) -> None:
+            key = _render(row)
+            if not self.nat:
+                block.line(depth, f"out[{key}] = True")
+            elif not block.projects:
+                # Table rows, row pairs and filtered rows are all
+                # distinct, so without a projection each key is new.
+                block.line(depth, f"out[{key}] = {' * '.join(block.weights)}")
+            else:
+                block.line(depth, f"_k = {key}")
+                block.line(depth, f"out[_k] = _get(_k, 0) + "
+                                  f"{' * '.join(block.weights)}")
+
+        block.sink = sink
+        self._produce(q, _MAX_LEVELS, block, 2, sink)
+        prologue = ["        out = {}\n"]
+        if self.nat and block.projects:
+            prologue.append("        _get = out.get\n")
+        prologue.extend(f"        {line}\n" for line in block.head)
+        body = ("    def _fn(rels, g):\n" + "".join(prologue)
+                + "".join(block.body) + "        return out\n")
+        return _build(body, block.env)
+
+    def _produce(self, q: ast.Query, budget: int, block: "_Block",
+                 depth: int, consume: Callable[[_Code, int], None]) -> None:
+        """Emit the loops producing ``q``'s rows (produce/consume style).
+
+        ``consume(row, depth)`` emits the code that handles one row
+        fragment at indentation ``depth``.  ``q`` may open at most
+        ``budget`` loop and ``if`` levels; a subtree that cannot fit is
+        materialized through :meth:`query` and scanned as one loop.
+        """
+        if not isinstance(q, _FUSED) or budget <= 1 < self._levels(q):
+            self._scan(self._source(q, block), block, depth, consume)
+            return
+
+        if isinstance(q, ast.Select):
+            block.projects = True
+
+            def project(row: _Code, d: int) -> None:
+                image = self.projection(q.projection, ("pair", _G, row),
+                                        block.env)
+                if consume is not block.sink:
+                    image = block.share(image, d)
+                consume(image, d)
+            self._produce(q.query, budget, block, depth, project)
+            return
+
+        if isinstance(q, ast.Where):
+            def select(row: _Code, d: int) -> None:
+                cond = self.predicate(q.predicate, ("pair", _G, row),
+                                      block.env)
+                block.line(d, f"if {_render(cond)}:")
+                consume(row, d + 1)
+            self._produce(q.query, budget - 1, block, depth, select)
+            return
+
+        left, right = self._levels(q.left), self._levels(q.right)
+        if left + right <= budget:
+            left_budget, right_budget = budget - right, right
+        elif left >= right:
+            right_budget = min(right, budget // 2)
+            left_budget = budget - right_budget
+        else:
+            left_budget = min(left, budget // 2)
+            right_budget = budget - left_budget
+
+        def pair_left(lrow: _Code, d: int) -> None:
+            def pair_right(rrow: _Code, d2: int) -> None:
+                consume(("pair", lrow, rrow), d2)
+            self._produce(q.right, right_budget, block, d, pair_right)
+        self._produce(q.left, left_budget, block, depth, pair_left)
+
+    def _levels(self, q: ast.Query) -> int:
+        """Loop and ``if`` levels ``q`` opens when fused without limit."""
+        if isinstance(q, ast.Select):
+            return self._levels(q.query)
+        if isinstance(q, ast.Where):
+            return self._levels(q.query) + 1
+        if isinstance(q, ast.Product):
+            return self._levels(q.left) + self._levels(q.right)
+        return 1
+
+    def _source(self, q: ast.Query, block: "_Block") -> str:
+        """The dict a fused block scans for ``q``: a table input, a baked
+        constant, or a materialized subquery computed once per call."""
+        if isinstance(q, ast.Table):
+            slot = self.slots.get(q.name)
+            if slot is not None:
+                return f"rels[{slot}]"
+            return block.env.bind(self._baked(q))
+        name = block.fresh("_m")
+        block.head.append(f"{name} = {block.env.bind(self.query(q))}(rels, g)")
+        return name
+
+    def _scan(self, source: str, block: "_Block", depth: int,
+              consume: Callable[[_Code, int], None]) -> None:
+        row = block.fresh("_r")
+        if self.nat:
+            weight = block.fresh("_a")
+            block.weights.append(weight)
+            block.line(depth, f"for {row}, {weight} in {source}.items():")
+        else:
+            block.line(depth, f"for {row} in {source}:")
+        consume(_atom(row), depth + 1)
+
     # -- predicates (generated source over the context fragment) ------------
 
     def predicate(self, p: ast.Predicate, var: _Code, env: _Env) -> _Code:
@@ -352,10 +506,13 @@ class _Compiler:
             ref = env.bind(self._lookup(self.interp.predicate, p.name))
             return _atom(f"{ref}({_render(var)})")
         if isinstance(p, ast.PredFunc):
-            ref = env.bind(self._lookup(self.interp.predicate, p.name))
-            args = ", ".join(_render(self.expression(a, var, env))
-                             for a in p.args)
-            return _atom(f"{ref}({args})")
+            fn = self._lookup(self.interp.predicate, p.name)
+            args = [_render(self.expression(a, var, env)) for a in p.args]
+            if len(args) == 2:
+                for op, symbol in _INFIX:
+                    if fn is op:
+                        return _atom(f"({args[0]} {symbol} {args[1]})")
+            return _atom(f"{env.bind(fn)}({', '.join(args)})")
         raise CompileError(f"cannot compile predicate node: {p!r}")
 
     # -- expressions ---------------------------------------------------------

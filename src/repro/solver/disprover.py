@@ -15,10 +15,12 @@ The search engine is built for compile-once/evaluate-many throughput:
 * the tuple space and the per-table instance descriptors (support index
   combination + multiplicity vector) are computed once per
   (schema, bound) and cached process-wide;
-* under ``NAT``/``BOOL`` both queries are compiled to closures
-  (:mod:`repro.engine.compile`) evaluated over plain count dicts — no
-  per-instance AST dispatch, no :class:`KRelation` allocation; exotic
-  semirings fall back to the tree-walking interpreter;
+* under ``NAT``/``BOOL`` both queries are compiled
+  (:mod:`repro.engine.compile`): each SELECT-FROM-WHERE block becomes
+  one generated loop nest over plain count dicts — no per-instance AST
+  dispatch, no intermediate product or filtered dict, no
+  :class:`KRelation` allocation; exotic semirings fall back to the
+  tree-walking interpreter;
 * the instance space is the product of the per-table descriptor lists,
   scanned in canonical order, so the first witness — a mixed-radix
   index into that product — is the smallest one and
@@ -47,7 +49,8 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from ..analysis.infer import (AnalysisContext, EMPTY_CONTEXT,
-                              infer_properties, supports_determined)
+                              infer_properties, iter_ast,
+                              supports_determined)
 from ..core import ast
 from ..core.equivalence import Hypotheses
 from ..core.schema import Schema, enumerate_tuples, tuple_flatten, tuple_of
@@ -121,7 +124,7 @@ class DisproofResult:
 def free_tables(query: ast.Query) -> Dict[str, Schema]:
     """All base tables of a query, name → schema (conflicts are errors)."""
     out: Dict[str, Schema] = {}
-    for node in _walk_queries(query):
+    for node in iter_ast(query):
         if isinstance(node, ast.Table):
             known = out.get(node.name)
             if known is not None and known != node.schema:
@@ -139,152 +142,12 @@ def has_metavariables(query: ast.Query) -> bool:
     enumerated directly and need an instantiator (see
     :func:`disprove_rule`).
     """
-    for node in _walk_queries(query):
+    for node in iter_ast(query):
+        if isinstance(node, (ast.PredVar, ast.ExprVar, ast.PVar)):
+            return True
         if isinstance(node, ast.Table) and not node.schema.is_concrete:
             return True
-    for pred in _walk_predicates(query):
-        if isinstance(pred, ast.PredVar):
-            return True
-    for expr in _walk_expressions(query):
-        if isinstance(expr, ast.ExprVar):
-            return True
-    for proj in _walk_projections(query):
-        if isinstance(proj, ast.PVar):
-            return True
     return False
-
-
-def _walk_queries(query: ast.Query) -> Iterator[ast.Query]:
-    yield query
-    if isinstance(query, (ast.Select, ast.Where, ast.Distinct)):
-        yield from _walk_queries(query.query)
-    elif isinstance(query, (ast.Product, ast.UnionAll, ast.Except)):
-        yield from _walk_queries(query.left)
-        yield from _walk_queries(query.right)
-    if isinstance(query, ast.Where):
-        for sub in _predicate_subqueries(query.predicate):
-            yield from _walk_queries(sub)
-    if isinstance(query, ast.Select):
-        for sub in _projection_subqueries(query.projection):
-            yield from _walk_queries(sub)
-
-
-def _predicate_subqueries(pred: ast.Predicate) -> Iterator[ast.Query]:
-    if isinstance(pred, (ast.PredAnd, ast.PredOr)):
-        yield from _predicate_subqueries(pred.left)
-        yield from _predicate_subqueries(pred.right)
-    elif isinstance(pred, ast.PredNot):
-        yield from _predicate_subqueries(pred.operand)
-    elif isinstance(pred, ast.Exists):
-        yield pred.query
-    elif isinstance(pred, ast.CastPred):
-        yield from _predicate_subqueries(pred.predicate)
-    elif isinstance(pred, (ast.PredEq, ast.PredFunc)):
-        for expr in _pred_expressions(pred):
-            yield from _expression_subqueries(expr)
-
-
-def _pred_expressions(pred: ast.Predicate) -> Iterator[ast.Expression]:
-    if isinstance(pred, ast.PredEq):
-        yield pred.left
-        yield pred.right
-    elif isinstance(pred, ast.PredFunc):
-        yield from pred.args
-
-
-def _expression_subqueries(expr: ast.Expression) -> Iterator[ast.Query]:
-    if isinstance(expr, ast.Agg):
-        yield expr.query
-    elif isinstance(expr, ast.Func):
-        for arg in expr.args:
-            yield from _expression_subqueries(arg)
-    elif isinstance(expr, ast.CastExpr):
-        yield from _expression_subqueries(expr.expression)
-    elif isinstance(expr, ast.P2E):
-        yield from _projection_subqueries(expr.projection)
-
-
-def _projection_subqueries(proj: ast.Projection) -> Iterator[ast.Query]:
-    if isinstance(proj, ast.Compose):
-        yield from _projection_subqueries(proj.first)
-        yield from _projection_subqueries(proj.second)
-    elif isinstance(proj, ast.Duplicate):
-        yield from _projection_subqueries(proj.left)
-        yield from _projection_subqueries(proj.right)
-    elif isinstance(proj, ast.E2P):
-        yield from _expression_subqueries(proj.expression)
-
-
-def _walk_predicates(query: ast.Query) -> Iterator[ast.Predicate]:
-    for node in _walk_queries(query):
-        if isinstance(node, ast.Where):
-            yield from _all_predicates(node.predicate)
-
-
-def _all_predicates(pred: ast.Predicate) -> Iterator[ast.Predicate]:
-    yield pred
-    if isinstance(pred, (ast.PredAnd, ast.PredOr)):
-        yield from _all_predicates(pred.left)
-        yield from _all_predicates(pred.right)
-    elif isinstance(pred, ast.PredNot):
-        yield from _all_predicates(pred.operand)
-    elif isinstance(pred, ast.CastPred):
-        yield from _all_predicates(pred.predicate)
-
-
-def _walk_expressions(query: ast.Query) -> Iterator[ast.Expression]:
-    for node in _walk_queries(query):
-        if isinstance(node, ast.Where):
-            for pred in _all_predicates(node.predicate):
-                for expr in _pred_expressions(pred):
-                    yield from _all_expressions(expr)
-        if isinstance(node, ast.Select):
-            for expr in _projection_expressions(node.projection):
-                yield from _all_expressions(expr)
-
-
-def _all_expressions(expr: ast.Expression) -> Iterator[ast.Expression]:
-    yield expr
-    if isinstance(expr, ast.Func):
-        for arg in expr.args:
-            yield from _all_expressions(arg)
-    elif isinstance(expr, ast.CastExpr):
-        yield from _all_expressions(expr.expression)
-
-
-def _projection_expressions(proj: ast.Projection) -> Iterator[ast.Expression]:
-    if isinstance(proj, ast.Compose):
-        yield from _projection_expressions(proj.first)
-        yield from _projection_expressions(proj.second)
-    elif isinstance(proj, ast.Duplicate):
-        yield from _projection_expressions(proj.left)
-        yield from _projection_expressions(proj.right)
-    elif isinstance(proj, ast.E2P):
-        yield proj.expression
-
-
-def _walk_projections(query: ast.Query) -> Iterator[ast.Projection]:
-    for node in _walk_queries(query):
-        if isinstance(node, ast.Select):
-            yield from _all_projections(node.projection)
-        if isinstance(node, ast.Where):
-            for pred in _all_predicates(node.predicate):
-                if isinstance(pred, ast.CastPred):
-                    yield from _all_projections(pred.projection)
-                for expr in _pred_expressions(pred):
-                    for sub in _all_expressions(expr):
-                        if isinstance(sub, ast.P2E):
-                            yield from _all_projections(sub.projection)
-
-
-def _all_projections(proj: ast.Projection) -> Iterator[ast.Projection]:
-    yield proj
-    if isinstance(proj, ast.Compose):
-        yield from _all_projections(proj.first)
-        yield from _all_projections(proj.second)
-    elif isinstance(proj, ast.Duplicate):
-        yield from _all_projections(proj.left)
-        yield from _all_projections(proj.right)
 
 
 # ---------------------------------------------------------------------------

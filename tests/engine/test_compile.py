@@ -26,6 +26,7 @@ from repro.engine import (
     run_query,
 )
 from repro.semiring import BOOL, NAT, NAT_INF
+from repro.semiring.krelation import KRelation
 from repro.solver import Bound, disprove
 from repro.sql import Catalog, compile_sql
 
@@ -49,6 +50,23 @@ CORPUS = [
     "SELECT a FROM R EXCEPT SELECT a FROM S",
     "SELECT DISTINCT a FROM R EXCEPT SELECT b FROM S",
     "SELECT a FROM R WHERE EXISTS (SELECT * FROM S WHERE S.a = R.a)",
+    # Comparisons the compiler emits as infix operators.
+    "SELECT a FROM R WHERE a < b",
+    "SELECT a FROM R WHERE a <= 1",
+    "SELECT b FROM R WHERE a > b",
+    "SELECT a, b FROM R WHERE b >= 1",
+    # A three-way join with a filter on each table: one fused loop nest.
+    "SELECT r.a, t.b FROM R r, S s, T t WHERE r.b = s.a AND s.b = t.a "
+    "AND r.a = 1 AND s.a <> 0 AND t.b < 1",
+    # A correlated EXISTS inside a join: a subquery per joined row.
+    "SELECT r.a, s.b FROM R r, S s WHERE r.a = s.a AND EXISTS "
+    "(SELECT * FROM T t WHERE t.a = r.b AND t.b = s.b)",
+    "SELECT a + b, a * 2 - b FROM R",
+    # Derived tables: Select over Where over Select, and a computed
+    # column joined against a base table.
+    "SELECT x.a FROM (SELECT a, b FROM R WHERE a = 1) x WHERE x.b = 1",
+    "SELECT x.c, s.b FROM (SELECT a + b AS c FROM R) x, S s "
+    "WHERE x.c = s.a",
 ]
 
 # Aggregates desugar to bag-valued subqueries that the reference
@@ -57,7 +75,10 @@ CORPUS = [
 NAT_ONLY_CORPUS = [
     "SELECT a, SUM(b) FROM R GROUP BY a",
     "SELECT a, COUNT(b) FROM R GROUP BY a",
+    "SELECT r.a, SUM(s.b) FROM R r, S s WHERE r.a = s.a GROUP BY r.a",
 ]
+
+TABLES = ("R", "S", "T")
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +86,7 @@ def catalog():
     cat = Catalog()
     cat.add_table("R", [("a", INT), ("b", INT)])
     cat.add_table("S", [("a", INT), ("b", INT)])
+    cat.add_table("T", [("a", INT), ("b", INT)])
     return cat
 
 
@@ -73,14 +95,14 @@ def _random_interp(seed, semiring):
     return Interpretation(relations={
         name: random_relation(rng, ROW, semiring=semiring, max_rows=3,
                               max_multiplicity=2)
-        for name in ("R", "S")})
+        for name in TABLES})
 
 
 def _assert_parity(query, interp, semiring):
     expected = run_query(query, interp, semiring)
-    program = compile_query(query, ("R", "S"), semiring=semiring)
+    program = compile_query(query, TABLES, semiring=semiring)
     rels = tuple(relation_to_counts(interp.relations[n], semiring)
-                 for n in ("R", "S"))
+                 for n in TABLES)
     got = counts_to_relation(program(rels, ()), semiring)
     assert got == expected
 
@@ -159,3 +181,44 @@ def test_disprover_verdict_independent_of_evaluator(memo, semiring,
             assert forced.found == interp.found
             assert forced.instances_checked \
                 == interp.instances_checked
+
+
+@pytest.mark.parametrize("semiring", COMPILED_SEMIRINGS,
+                         ids=lambda s: s.name)
+def test_deep_product_compiles(semiring, catalog):
+    """25 tables exceed CPython's 20 nested loops a function: the
+    compiler must split the block instead of emitting a SyntaxError."""
+    aliases = [f"t{i}" for i in range(25)]
+    sql = (f"SELECT t0.a, t24.b FROM "
+           f"{', '.join(f'R {x}' for x in aliases)}")
+    query = compile_sql(sql, catalog).query
+    rel = KRelation(semiring)
+    rel.add((0, 1), semiring.from_int(2))
+    interp = Interpretation(relations={"R": rel})
+    program = compile_query(query, ("R",), semiring=semiring)
+    got = counts_to_relation(
+        program((relation_to_counts(rel, semiring),), ()), semiring)
+    assert got == run_query(query, interp, semiring)
+
+
+def test_rebound_comparison_is_called(catalog):
+    """Only the stock ``operator`` comparisons are inlined: a re-bound
+    ``lt`` (a rule instantiator's own, say) is called per row."""
+    calls = []
+
+    def reversed_lt(x, y):
+        calls.append((x, y))
+        return x > y
+
+    query = compile_sql("SELECT a FROM R WHERE a < b", catalog).query
+    rel = KRelation(NAT)
+    for row, mult in (((0, 1), 1), ((1, 0), 2), ((1, 1), 1)):
+        rel.add(row, mult)
+    interp = Interpretation(relations={"R": rel},
+                            predicates={"lt": reversed_lt})
+    program = compile_query(query, ("R",), interp=interp)
+    got = counts_to_relation(program((relation_to_counts(rel, NAT),), ()),
+                             NAT)
+    assert len(calls) == 3
+    assert got == run_query(query, interp, NAT)
+    assert dict(got.items()) == {1: 2}

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.schema import INT, Leaf, Node
+from repro.core import ast
+from repro.core.schema import EMPTY, INT, Leaf, Node
 from repro.rules import all_buggy_rules, all_rules, get_rule
 from repro.semiring import NAT
 from repro.solver import (
@@ -78,6 +79,24 @@ class TestQueryAnalysis:
     def test_rule_queries_have_metavariables(self):
         rule = get_rule("join_comm")
         assert has_metavariables(rule.lhs)
+
+    @staticmethod
+    def _nested_expr_var():
+        # An expression metavariable reached only through P2E(E2P(...)).
+        ctx = Node(EMPTY, SCHEMA)
+        return ast.P2E(ast.E2P(ast.ExprVar("e", ctx, INT), INT), INT)
+
+    def test_metavariable_nested_in_where_predicate(self):
+        pred = ast.PredEq(self._nested_expr_var(), ast.Const(1, INT))
+        q = ast.Select(ast.Compose(ast.RightP(), ast.LeftP()),
+                       ast.Where(ast.Table("R", SCHEMA), pred))
+        assert has_metavariables(q)
+
+    def test_metavariable_nested_in_select_function(self):
+        column = ast.P2E(ast.Compose(ast.RightP(), ast.LeftP()), INT)
+        expr = ast.Func("add", (self._nested_expr_var(), column), INT)
+        q = ast.Select(ast.E2P(expr, INT), ast.Table("R", SCHEMA))
+        assert has_metavariables(q)
 
 
 class TestDisprove:
