@@ -56,7 +56,7 @@ Old call                                               New call
 ``disprove(q1, q2)``                                   ``h1.disprove(h2)``
 ``optimize(query, stats)``                             ``h.optimize(stats)`` (a ``PlanHandle``)
 ``VerificationService().check_batch(jobs)``            ``session.check_batch(jobs)``
-``pipeline.cache.save(path)``                          ``Session.from_tables(..., cache=path)`` + ``with``
+``pipeline.cache.save(path)``                          ``Session.from_tables(..., cache=DIR)`` (no save step)
 =====================================================  =======================================================
 
 The old entry points still work — ``compile_sql``, ``Pipeline``, and the

@@ -34,8 +34,11 @@ https://ui.perfetto.dev).
 
 The CLI is a thin veneer over :class:`repro.session.Session` — each
 command opens one session (catalog + pipeline + proof cache + worker
-pool, persisted on exit when ``--cache`` is given) and returns a process
-exit code (0 = equivalent/verified) so it can script into CI pipelines.
+pool) and returns a process exit code (0 = equivalent/verified) so it
+can script into CI pipelines.  ``--cache DIR`` layers the proof cache
+over a shard store directory, the same layout ``serve --store-dir``
+uses: every verdict is durable when it is decided, and a later command
+or daemon on the same directory answers it without re-proving.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .rules import (
 from .session import (
     QueryHandle,
     Session,
+    SessionError,
     TableSpecError,
     parse_table_spec as _parse_table_spec,
 )
@@ -98,9 +102,11 @@ def _workers_from_args(args: argparse.Namespace):
 def _session_from_args(args: argparse.Namespace) -> Session:
     """One Session per command: catalog + pipeline + cache + workers."""
     config = PipelineConfig(disprover_bound=_bound_from_args(args))
-    session = Session(config=config,
-                      cache_path=getattr(args, "cache", None),
-                      workers=_workers_from_args(args))
+    try:
+        session = Session(config=config, cache=getattr(args, "cache", None),
+                          workers=_workers_from_args(args))
+    except SessionError as exc:
+        raise CLIError(str(exc)) from exc
     for spec in (getattr(args, "table", None) or []):
         try:
             session.add_table(spec)
@@ -573,9 +579,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_cache_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cache", metavar="FILE", default=None,
-                        help="persist the proof cache to this JSON file "
-                             "(loaded when it exists)")
+    parser.add_argument("--cache", metavar="DIR", default=None,
+                        help="proof store directory (created if missing; "
+                             "the layout serve --store-dir uses): every "
+                             "verdict is stored when it is decided, and "
+                             "later runs answer it from there")
 
 
 def _add_obs_options(parser: argparse.ArgumentParser,

@@ -1,9 +1,9 @@
 """Advisory cross-process file locks.
 
-One tiny primitive shared by every component that mutates files other
-processes may be reading or writing concurrently: the proof cache's
-merge-on-save (:meth:`repro.solver.cache.ProofCache.save`) and the serve
-layer's sharded proof store (:mod:`repro.serve.store`).
+One tiny primitive for every component that mutates files other
+processes may be reading or writing concurrently: the sharded proof
+store's appends and compactions (:mod:`repro.serve.store`) and its
+metadata file.
 
 The lock is a *sidecar* file (``<path>.lock``) so the protected file
 itself can be replaced atomically (``os.replace``) while the lock

@@ -1,10 +1,10 @@
 """Sharded, disk-backed, content-addressed proof store.
 
-The batch service's :class:`~repro.solver.cache.ProofCache` is one JSON
-file rewritten wholesale — fine for a single process, useless as the
-shared substrate of a long-lived verification service.  This module is
-the persistent tier the ``repro serve`` daemon (and any number of other
-processes) layer their in-memory caches over:
+This is the one persistent proof format: ``repro serve --store-dir``,
+``Session(cache=DIR)`` and the CLI's ``--cache DIR`` all layer their
+in-memory caches over a store directory, so a store written by one is
+read by the others.  Every verdict is durable as soon as it is decided;
+there is no save step.
 
 * **Content-addressed**: entries are keyed by the pipeline's symmetric
   alpha-canonical pair fingerprint (sha256 hex), so alpha-equivalent
@@ -19,19 +19,28 @@ processes) layer their in-memory caches over:
   the same ``--store-dir`` sees the first one's proofs without any
   coordination channel.  Compaction rewrites a segment last-wins via
   atomic rename; readers detect the rewrite (shrunk or diverged file)
-  and rebuild their index.
+  and rebuild their index.  A writer killed in the middle of an append
+  leaves a torn line, which readers skip; the next append terminates it
+  first, so it never swallows a later record.
+* **Epoch-stamped**: every record carries the
+  :data:`~repro.solver.verdict.PROOF_EPOCH` of the prover that wrote it;
+  records from any other epoch read as misses and are dropped at the
+  next compaction.
 
 Layout of a store directory::
 
     store.json            {"version": 1, "shards": N}
-    shard-0000.jsonl      one ["<fingerprint>", {verdict}] record per line
+    shard-0000.jsonl      one record per line:
+                            ["<fingerprint>", {verdict}, epoch]
+                            ["alias:<alias>", [fp, lhs_repr, lhs_norm], epoch]
     shard-0000.jsonl.lock sidecar advisory lock (flock)
 
 :class:`StoreProofCache` is the layering: a drop-in
 :class:`~repro.solver.cache.ProofCache` (so the untouched
 :class:`~repro.solver.pipeline.Pipeline` probes and fills it) whose hot
-tier is the bounded in-memory LRU and whose misses fall through to —
-and whose inserts write through to — the shard store.
+tier is the bounded in-memory LRU and whose misses — fingerprint and
+alias alike — fall through to, and whose inserts write through to, the
+shard store.
 """
 
 from __future__ import annotations
@@ -41,14 +50,14 @@ import os
 import tempfile
 import threading
 import zlib
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..fslock import file_lock
 from ..obs.logs import get_logger
 from ..obs.metrics import counter, gauge
 from ..obs.trace import span
-from ..solver.cache import ProofCache
-from ..solver.verdict import Verdict
+from ..solver.cache import ProofCache, alias_tag_for
+from ..solver.verdict import PROOF_EPOCH, Verdict
 
 _log = get_logger("serve.store")
 
@@ -61,6 +70,10 @@ _ENTRIES = gauge("store.entries")
 #: Name of the store's metadata file (records the shard count, which is
 #: fixed at creation — every process opening the store must agree).
 META_FILE = "store.json"
+
+#: Key prefix of alias records, which share the shard segments with
+#: verdicts (a fingerprint is hex, so the two key spaces never meet).
+ALIAS_PREFIX = "alias:"
 
 
 class StoreError(ValueError):
@@ -143,7 +156,9 @@ class ShardedProofStore:
 
     def _refresh_locked(self, shard: int) -> None:
         """Fold any segment bytes appended since the last scan (possibly
-        by another process) into the in-memory offset index."""
+        by another process) into the in-memory offset index.  Only
+        records stamped with the current :data:`PROOF_EPOCH` are indexed;
+        stale ones count as dead, so compaction drops them."""
         segment = self._segment(shard)
         try:
             size = os.path.getsize(segment)
@@ -155,8 +170,8 @@ class ShardedProofStore:
             # every offset is stale, rebuild from scratch.
             self._reset_shard(shard)
             start = 0
+        index = self._index.setdefault(shard, {})
         if size <= start:
-            self._index.setdefault(shard, {})
             return
         with open(segment, "rb") as handle:
             handle.seek(start)
@@ -164,90 +179,125 @@ class ShardedProofStore:
         complete = data.rfind(b"\n")
         if complete < 0:
             return  # only a partially flushed line so far
-        index = self._index.setdefault(shard, {})
         dead = self._dead.get(shard, 0)
         offset = start
         for raw in data[:complete + 1].split(b"\n")[:-1]:
             record_offset = offset
             offset += len(raw) + 1
             try:
-                fingerprint = json.loads(raw)[0]
-            except (ValueError, IndexError, TypeError):
+                record = json.loads(raw)
+            except ValueError:
                 continue  # torn or corrupt line: ignore, never crash
-            if fingerprint in index:
+            if not isinstance(record, list) or not record \
+                    or not isinstance(record[0], str):
+                continue
+            if record[2:] != [PROOF_EPOCH]:
+                dead += 1  # unstamped, or another epoch's: a miss
+                continue
+            if record[0] in index:
                 dead += 1
-            index[fingerprint] = record_offset
+            index[record[0]] = record_offset
         self._dead[shard] = dead
         self._scanned[shard] = start + complete + 1
 
-    def _read_at(self, shard: int, fingerprint: str,
-                 offset: int) -> Optional[Verdict]:
-        segment = self._segment(shard)
+    def _record_at(self, shard: int, key: str,
+                   offset: int) -> Optional[list]:
+        """The ``[key, payload, epoch]`` record at a byte offset, or None
+        when the offset no longer points at ``key``'s record."""
         try:
-            with open(segment, "rb") as handle:
+            with open(self._segment(shard), "rb") as handle:
                 handle.seek(offset)
-                raw = handle.readline()
-            found, data = json.loads(raw)
-            if found != fingerprint:
-                raise ValueError("offset points at a different record")
-            verdict = Verdict.from_dict(data)
-            verdict.fingerprint = fingerprint
-            return verdict
-        except (OSError, ValueError, KeyError, TypeError):
+                record = json.loads(handle.readline())
+        except (OSError, ValueError):
             return None
+        if not isinstance(record, list) or record[:1] != [key]:
+            return None
+        return record
 
-    # -- public API ----------------------------------------------------------
-
-    def read(self, fingerprint: str) -> Optional[Verdict]:
-        """The newest stored verdict for a fingerprint, or None."""
-        shard = self.shard_of(fingerprint)
+    def _lookup(self, key: str) -> Any:
+        """The newest current-epoch payload stored under ``key``, or
+        None."""
+        shard = self.shard_of(key)
         with self._lock:
             self._refresh_locked(shard)
-            offset = self._index.get(shard, {}).get(fingerprint)
-            if offset is not None:
-                verdict = self._read_at(shard, fingerprint, offset)
-                if verdict is None:
-                    # Stale offset (concurrent compaction): rebuild once.
-                    self._reset_shard(shard)
-                    self._refresh_locked(shard)
-                    offset = self._index.get(shard, {}).get(fingerprint)
-                    if offset is not None:
-                        verdict = self._read_at(shard, fingerprint, offset)
-                if verdict is not None:
-                    _SHARD_HITS.inc()
-                    return verdict
-            _SHARD_MISSES.inc()
-            return None
+            offset = self._index[shard].get(key)
+            if offset is None:
+                return None
+            record = self._record_at(shard, key, offset)
+            if record is None:
+                # Stale offset (concurrent compaction): rebuild once.
+                self._reset_shard(shard)
+                self._refresh_locked(shard)
+                offset = self._index[shard].get(key)
+                if offset is not None:
+                    record = self._record_at(shard, key, offset)
+            return None if record is None else record[1]
 
-    def append(self, fingerprint: str, verdict: Verdict) -> None:
-        """Durably record a verdict (last-wins per fingerprint)."""
-        line = json.dumps([fingerprint, verdict.to_dict()],
+    def _append(self, key: str, payload: Any) -> None:
+        """Durably record ``payload`` under ``key`` (last-wins)."""
+        line = json.dumps([key, payload, PROOF_EPOCH],
                           separators=(",", ":")).encode("utf-8") + b"\n"
-        shard = self.shard_of(fingerprint)
+        shard = self.shard_of(key)
         segment = self._segment(shard)
         with self._lock:
             with file_lock(segment):
                 # Fold in whatever other processes appended first, so our
                 # scan cursor can jump cleanly over our own record.
                 self._refresh_locked(shard)
-                offset = self._scanned.get(shard, 0)
-                with open(segment, "ab") as handle:
-                    # A concurrent writer may have appended between the
-                    # scan and the open; trust the real end of file.
-                    handle.seek(0, os.SEEK_END)
-                    offset = handle.tell()
-                    handle.write(line)
-                index = self._index.setdefault(shard, {})
-                if fingerprint in index:
+                with open(segment, "a+b") as handle:
+                    # Trust the real end of file, not the scan cursor.
+                    offset = handle.seek(0, os.SEEK_END)
+                    torn = b""
+                    if offset:
+                        handle.seek(offset - 1)
+                        if handle.read(1) != b"\n":
+                            # A writer died mid-append: terminate its
+                            # torn line, or it would swallow this record.
+                            torn = b"\n"
+                    handle.write(torn + line)
+                offset += len(torn)
+                index = self._index[shard]
+                if key in index:
                     self._dead[shard] = self._dead.get(shard, 0) + 1
-                index[fingerprint] = offset
+                index[key] = offset
                 self._scanned[shard] = offset + len(line)
             _APPENDS.inc()
             _ENTRIES.set(sum(len(i) for i in self._index.values()))
             if self.auto_compact and \
-                    self._dead.get(shard, 0) > max(64, len(
-                        self._index.get(shard, {}))):
+                    self._dead.get(shard, 0) > max(64, len(index)):
                 self.compact(shard)
+
+    # -- public API ----------------------------------------------------------
+
+    def read(self, fingerprint: str) -> Optional[Verdict]:
+        """The newest stored verdict for a fingerprint, or None."""
+        payload = self._lookup(fingerprint)
+        verdict = None
+        if payload is not None:
+            try:
+                verdict = Verdict.from_dict(payload)
+                verdict.fingerprint = fingerprint
+            except (ValueError, KeyError, TypeError, AttributeError):
+                verdict = None
+        (_SHARD_HITS if verdict is not None else _SHARD_MISSES).inc()
+        return verdict
+
+    def read_alias(self, alias: str) -> Optional[Tuple[str, str, str]]:
+        """The stored ``(fingerprint, lhs repr digest, lhs norm digest)``
+        tag of a syntactic alias, or None."""
+        tag = self._lookup(ALIAS_PREFIX + alias)
+        if isinstance(tag, list) and len(tag) == 3 \
+                and all(isinstance(part, str) for part in tag):
+            return tuple(tag)
+        return None
+
+    def append(self, fingerprint: str, verdict: Verdict) -> None:
+        """Durably record a verdict (last-wins per fingerprint)."""
+        self._append(fingerprint, verdict.to_dict())
+
+    def append_alias(self, alias: str, tag: Tuple[str, str, str]) -> None:
+        """Durably record an alias tag (see :meth:`read_alias`)."""
+        self._append(ALIAS_PREFIX + alias, list(tag))
 
     def compact(self, shard: Optional[int] = None) -> None:
         """Rewrite segment(s) keeping only the newest record per key."""
@@ -263,49 +313,44 @@ class ShardedProofStore:
                     return
                 self._reset_shard(shard)
                 self._refresh_locked(shard)
-                index = self._index.get(shard, {})
-                records = []
-                for fingerprint in index:
-                    verdict = self._read_at(shard, fingerprint,
-                                            index[fingerprint])
-                    if verdict is not None:
-                        records.append((fingerprint, verdict))
+                records = [self._record_at(shard, key, offset)
+                           for key, offset in self._index[shard].items()]
                 fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
                 with os.fdopen(fd, "wb") as handle:
-                    for fingerprint, verdict in records:
-                        handle.write(json.dumps(
-                            [fingerprint, verdict.to_dict()],
-                            separators=(",", ":")).encode("utf-8") + b"\n")
+                    for record in records:
+                        if record is not None:
+                            handle.write(json.dumps(
+                                record, separators=(",", ":"))
+                                .encode("utf-8") + b"\n")
                 os.replace(tmp, segment)
                 self._reset_shard(shard)
                 self._refresh_locked(shard)
             _COMPACTIONS.inc()
 
     def __len__(self) -> int:
-        """Distinct fingerprints currently indexed (refreshes all shards)."""
+        """Distinct fingerprints currently stored, alias records aside
+        (refreshes all shards)."""
         with self._lock:
             for shard in range(self.shards):
                 self._refresh_locked(shard)
-            return sum(len(index) for index in self._index.values())
+            return sum(not key.startswith(ALIAS_PREFIX)
+                       for index in self._index.values() for key in index)
 
     def __contains__(self, fingerprint: str) -> bool:
         shard = self.shard_of(fingerprint)
         with self._lock:
             self._refresh_locked(shard)
-            return fingerprint in self._index.get(shard, {})
+            return fingerprint in self._index[shard]
 
     def stats(self) -> Dict[str, Any]:
-        """Shard layout + per-shard entry counts + traffic counters."""
+        """Shard layout + per-shard record counts + traffic counters."""
         with self._lock:
-            for shard in range(self.shards):
-                self._refresh_locked(shard)
-            per_shard = {shard: len(self._index.get(shard, {}))
-                         for shard in range(self.shards)}
             return {
                 "root": self.root,
                 "shards": self.shards,
-                "entries": sum(per_shard.values()),
-                "per_shard": per_shard,
+                "entries": len(self),
+                "per_shard": {shard: len(self._index[shard])
+                              for shard in range(self.shards)},
                 "dead_records": sum(self._dead.values()),
                 "hits": _SHARD_HITS.value,
                 "misses": _SHARD_MISSES.value,
@@ -323,8 +368,10 @@ class StoreProofCache(ProofCache):
     write-back), and inserts write through to disk so every other
     process sharing the store directory profits.  ``hits``/``misses``
     count the layered result — a disk hit is a cache hit, exactly one
-    count per probe.  An alias stays live while its record is on disk,
-    so a re-ask whose entry left the hot tier still skips the pipeline.
+    count per probe.  Alias tags are persisted next to the verdicts, so
+    an alias stays live while its record is on disk: a re-ask whose
+    entry left the hot tier, or a warm batch in a fresh process, still
+    skips the pipeline.
     """
 
     def __init__(self, store: ShardedProofStore,
@@ -348,6 +395,14 @@ class StoreProofCache(ProofCache):
                 ProofCache.put(self, fingerprint, entry)
         return entry
 
+    def _alias_tag(self, alias: str) -> Optional[Tuple[str, str, str]]:
+        tag = super()._alias_tag(alias)
+        if tag is None:
+            tag = self._store.read_alias(alias)
+            if tag is not None:
+                self._aliases[alias] = tag
+        return tag
+
     def __contains__(self, fingerprint: str) -> bool:
         with self._lock:
             return (fingerprint in self._entries
@@ -359,12 +414,15 @@ class StoreProofCache(ProofCache):
             alias: Optional[str] = None) -> None:
         ProofCache.put(self, fingerprint, verdict, alias=alias)
         self._store.append(fingerprint, verdict)
+        if alias is not None:
+            self._store.append_alias(alias,
+                                     alias_tag_for(fingerprint, verdict))
 
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, path: Optional[str] = None) -> str:
-        """Every insert is already durable; saving is a no-op."""
-        return self._store.root
+    def register_alias(self, alias: str, verdict: Verdict) -> None:
+        if verdict.fingerprint in self:
+            ProofCache.register_alias(self, alias, verdict)
+            self._store.append_alias(
+                alias, alias_tag_for(verdict.fingerprint, verdict))
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
@@ -378,5 +436,5 @@ class StoreProofCache(ProofCache):
             }
 
 
-__all__ = ["META_FILE", "ShardedProofStore", "StoreError",
+__all__ = ["ALIAS_PREFIX", "META_FILE", "ShardedProofStore", "StoreError",
            "StoreProofCache"]

@@ -7,7 +7,7 @@ by hand.  A session owns all of them behind one fluent surface::
 
     from repro import Session
 
-    with Session.from_tables("R(a:int,b:int)", cache="proofs.json") as s:
+    with Session.from_tables("R(a:int,b:int)", cache="proof-store") as s:
         q1 = s.sql("SELECT DISTINCT a FROM R")
         q2 = s.sql("SELECT DISTINCT x.a FROM R AS x, R AS y "
                    "WHERE x.a = y.a")
@@ -27,13 +27,18 @@ the naive per-pair :meth:`~repro.solver.pipeline.Pipeline.check` performs
 N·(N−1) — the O(N²)→O(N) collapse ``benchmarks/bench_session_all_pairs
 .py`` measures.
 
-The session is a context manager: leaving the ``with`` block persists the
-proof cache (when a cache path is configured) and tears down the batch
-service's worker pool.
+With ``cache="DIR"`` the proof cache is layered over a shard store
+directory (:class:`~repro.serve.store.StoreProofCache`, the format
+``repro serve --store-dir`` uses): every verdict is durable the moment
+it is decided, and a later session, CLI run or daemon on the same
+directory answers it without re-proving.  The session is a context
+manager: leaving the ``with`` block tears down the batch service's
+worker pool.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import time
 from dataclasses import dataclass
@@ -383,39 +388,47 @@ class PairwiseReport:
 # The session
 # ---------------------------------------------------------------------------
 
+def _open_store(directory: str) -> ProofCache:
+    """A proof cache layered over the shard store at ``directory``."""
+    if os.path.isfile(directory):
+        raise SessionError(
+            f"proof cache {directory!r} is a file; a proof store is a "
+            f"directory (the older JSON cache file format is not read)")
+    # Lazy, like ServeClient in connect(): in-process sessions without a
+    # store never import the serve package.
+    from .serve.store import ShardedProofStore, StoreError, StoreProofCache
+    try:
+        return StoreProofCache(ShardedProofStore(directory))
+    except (OSError, StoreError) as exc:
+        raise SessionError(
+            f"cannot open proof store {directory!r}: {exc}") from exc
+
+
 class Session:
     """One catalog, one pipeline, one proof cache, one worker pool.
 
     Args:
         catalog: table declarations (a fresh empty catalog by default).
         config: pipeline stage knobs (:class:`PipelineConfig`).
-        cache: a pre-built :class:`ProofCache` to share, or a path string
-            (treated exactly like ``cache_path``, matching
-            :meth:`from_tables`).
-        cache_path: JSON file to load the proof cache from and persist it
-            to on :meth:`close` / context-manager exit.
+        cache: a pre-built :class:`ProofCache` to share, or a proof store
+            directory (created if missing), the layout ``repro serve
+            --store-dir`` reads and writes.
         workers: default worker-process count for batch verification.
     """
 
     def __init__(self, catalog: Optional[Catalog] = None, *,
                  config: Optional[PipelineConfig] = None,
                  cache: Union[ProofCache, str, None] = None,
-                 cache_path: Optional[str] = None,
                  workers: Optional[int] = None) -> None:
         if isinstance(cache, str):
-            if cache_path is not None and cache_path != cache:
-                raise SessionError(
-                    f"conflicting cache paths: cache={cache!r} "
-                    f"vs cache_path={cache_path!r}")
-            cache, cache_path = None, cache
+            cache = _open_store(cache)
         elif cache is not None and not isinstance(cache, ProofCache):
             raise SessionError(
-                f"cache must be a ProofCache or a path string, "
+                f"cache must be a ProofCache or a store directory, "
                 f"got {type(cache).__name__}")
         self.catalog = catalog if catalog is not None else Catalog()
-        self.pipeline = Pipeline(config, cache=cache, cache_path=cache_path)
+        self.pipeline = Pipeline(config, cache=cache)
         self.workers = workers
-        self._cache_path = cache_path
         self._service: Optional[VerificationService] = None
         #: token-stream key (or raw text for unlexable input) → handle.
         self._handles: Dict[object, QueryHandle] = {}
@@ -431,15 +444,12 @@ class Session:
     @classmethod
     def from_tables(cls, *specs: str,
                     config: Optional[PipelineConfig] = None,
-                    cache: Optional[str] = None,
+                    cache: Union[ProofCache, str, None] = None,
                     workers: Optional[int] = None) -> "Session":
-        """Build a session from ``"R(a:int,b:int)"``-style declarations.
-
-        ``cache`` is a JSON path: loaded now if it exists, persisted on
-        exit.
-        """
+        """Build a session from ``"R(a:int,b:int)"``-style declarations
+        (``cache`` as for the constructor)."""
         catalog = Catalog()
-        session = cls(catalog, config=config, cache_path=cache,
+        session = cls(catalog, config=config, cache=cache,
                       workers=workers)
         for spec in specs:
             session.add_table(spec)
@@ -700,18 +710,13 @@ class Session:
         from .obs.metrics import REGISTRY
         return REGISTRY.snapshot()
 
-    def save_cache(self, path: Optional[str] = None) -> str:
-        """Persist the proof cache now (exit does this automatically when
-        a cache path is configured)."""
-        return self.cache.save(path)
-
     @property
     def closed(self) -> bool:
         return self._closed
 
     def close(self) -> None:
-        """Persist the cache (if a path is configured) and tear down the
-        worker pool.  Idempotent."""
+        """Tear down the worker pool and any daemon connection.
+        Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -721,8 +726,6 @@ class Session:
         if self._service is not None:
             self._service.close()
             self._service = None
-        if self._cache_path is not None:
-            self.cache.save(self._cache_path)
 
     def __enter__(self) -> "Session":
         self._ensure_open()

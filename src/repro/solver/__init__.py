@@ -9,8 +9,9 @@ traffic:
   conjunctive decision → budgeted prover → bounded-exhaustive disprover),
 * :mod:`repro.solver.disprover` — exhaustive small-instance counterexample
   search with "no counterexample up to bound k" guarantees,
-* :mod:`repro.solver.cache` — content-addressed proof cache (LRU + JSON
-  persistence) keyed on alpha-canonical normal forms,
+* :mod:`repro.solver.cache` — content-addressed in-memory proof cache
+  (LRU + alias index) keyed on alpha-canonical normal forms; the
+  on-disk tier is :mod:`repro.serve.store`,
 * :mod:`repro.solver.service` — batch API deduplicating jobs and fanning
   out across a multiprocessing pool,
 * :mod:`repro.solver.verdict` — the structured PROVED / DISPROVED /

@@ -15,17 +15,18 @@ Each alias also records the orientation of the pair that registered it,
 so an alias hit re-orients a counterexample by normal form, exactly as a
 fingerprint hit does.
 
-The cache is a bounded in-memory LRU with optional JSON persistence, which
-is what lets a long-running verification service amortize proof effort
-across requests and restarts.
+The cache is a bounded in-memory LRU, which is what lets a long-running
+verification service amortize proof effort across requests.  Persistence
+across processes and restarts is one layer up: a
+:class:`~repro.serve.store.StoreProofCache` (what ``Session(cache=DIR)``,
+the CLI's ``--cache DIR`` and ``repro serve`` open) overrides the
+:meth:`ProofCache._resident` and :meth:`ProofCache._alias_tag` hooks to
+fall through to a shard store on disk, and writes every insert through.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import tempfile
 import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
@@ -33,19 +34,12 @@ from typing import Dict, Optional, Tuple
 from ..core.equivalence import Hypotheses
 from ..core.intern import KernelLRU
 from ..core.normalize import NSum, nsum_alpha_key
-from ..fslock import file_lock
-from ..obs.logs import get_logger
 from ..obs.metrics import counter, gauge
-from ..obs.trace import span
 from .verdict import Verdict
-
-_log = get_logger("solver.cache")
 
 _HITS = counter("proofcache.hits_total")
 _MISSES = counter("proofcache.misses_total")
 _EVICTIONS = counter("proofcache.evictions_total")
-_PERSISTS = counter("proofcache.persists_total")
-_LOADS = counter("proofcache.loaded_entries_total")
 _ENTRIES = gauge("proofcache.entries")
 
 #: Memo for :func:`nsum_alpha_repr`, keyed on the interned normal form
@@ -147,7 +141,8 @@ def syntactic_alias(q1, q2, ctx_schema=None,
                           .encode("utf-8")).hexdigest()
 
 
-def _alias_tag(fingerprint: str, verdict: Verdict) -> Tuple[str, str, str]:
+def alias_tag_for(fingerprint: str,
+                  verdict: Verdict) -> Tuple[str, str, str]:
     """What the alias index stores: the fingerprint plus the registering
     caller's lhs digests (by repr and by normal form)."""
     return (fingerprint, verdict.lhs_repr_digest, verdict.lhs_norm_digest)
@@ -177,23 +172,19 @@ def _oriented_alias_hit(verdict: Verdict, tag: Tuple[str, str, str],
 
 
 class ProofCache:
-    """Bounded LRU of fingerprint → :class:`Verdict`, with persistence.
+    """Bounded LRU of fingerprint → :class:`Verdict`, plus the alias index.
 
     Thread-safe: the serve daemon probes it from connection threads while
     its worker pool inserts.
 
     Args:
         max_size: LRU capacity (entries beyond it evict oldest-used).
-        path: optional JSON file; :meth:`load` pulls existing entries and
-            :meth:`save` writes the current contents atomically.
     """
 
-    def __init__(self, max_size: int = 4096,
-                 path: Optional[str] = None) -> None:
+    def __init__(self, max_size: int = 4096) -> None:
         if max_size <= 0:
             raise ValueError("cache max_size must be positive")
         self.max_size = max_size
-        self.path = path
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, Verdict]" = OrderedDict()
         #: alias → (fingerprint, registering lhs repr digest, registering
@@ -203,14 +194,6 @@ class ProofCache:
         self._alias_sweep_at = 2 * max_size
         self.hits = 0
         self.misses = 0
-        if path is not None and os.path.exists(path):
-            # A persisted cache is an optimization, never a requirement: a
-            # corrupt or incompatible file must not take the service down.
-            try:
-                self.load(path)
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                _log.warning("ignoring unreadable proof cache %r: %s",
-                             path, exc)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -233,6 +216,12 @@ class ProofCache:
         if entry is not None:
             self._entries.move_to_end(fingerprint)
         return entry
+
+    def _alias_tag(self, alias: str) -> Optional[Tuple[str, str, str]]:
+        """The alias index's tag for ``alias`` (None when absent).  Called
+        with the lock held; a layered cache overrides it to fall through
+        to its cold tier."""
+        return self._aliases.get(alias)
 
     def get(self, fingerprint: str) -> Optional[Verdict]:
         """Cached verdict for a fingerprint (counts toward hit rate)."""
@@ -259,7 +248,7 @@ class ProofCache:
         understate the hit rate.
         """
         with self._lock:
-            tag = self._aliases.get(alias)
+            tag = self._alias_tag(alias)
             if tag is None:
                 return None
             entry = self._resident(tag[0])
@@ -295,7 +284,7 @@ class ProofCache:
             self._entries[fingerprint] = stored
             self._entries.move_to_end(fingerprint)
             if alias is not None:
-                self._aliases[alias] = _alias_tag(fingerprint, verdict)
+                self._aliases[alias] = alias_tag_for(fingerprint, verdict)
             while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
                 _EVICTIONS.inc()
@@ -316,8 +305,8 @@ class ProofCache:
         the pair the alias was computed from)."""
         with self._lock:
             if verdict.fingerprint in self:
-                self._aliases[alias] = _alias_tag(verdict.fingerprint,
-                                                  verdict)
+                self._aliases[alias] = alias_tag_for(verdict.fingerprint,
+                                                     verdict)
 
     def clear(self) -> None:
         with self._lock:
@@ -328,136 +317,7 @@ class ProofCache:
             self.misses = 0
             _ENTRIES.set(0)
 
-    # -- persistence --------------------------------------------------------
 
-    def save(self, path: Optional[str] = None) -> str:
-        """Persist entries + alias index to JSON — merge-on-save.
-
-        Concurrent savers (two sessions, two processes, one cache file)
-        used to race last-writer-wins: whichever ``os.replace`` landed
-        second silently discarded the other's proofs.  Saving now runs
-        under an advisory file lock and *merges* with whatever is already
-        on disk: disk-only entries are kept (ranked colder than this
-        process's own), this cache's entries win any fingerprint both
-        sides hold, and the union is capped at ``max_size`` dropping the
-        coldest — so the union of two concurrent savers survives, not a
-        random one of them.
-        """
-        path = path or self.path
-        if path is None:
-            raise ValueError("no persistence path configured")
-        with self._lock, span("proofcache.save",
-                              entries=len(self._entries)):
-            directory = os.path.dirname(os.path.abspath(path))
-            os.makedirs(directory, exist_ok=True)
-            with file_lock(path):
-                disk_entries, disk_aliases = self._read_payload(path)
-                merged: "OrderedDict[str, dict]" = OrderedDict(
-                    (fp, data) for fp, data in disk_entries
-                    if fp not in self._entries)
-                for fp, verdict in self._entries.items():
-                    merged[fp] = verdict.to_dict()
-                while len(merged) > self.max_size:
-                    merged.popitem(last=False)
-                aliases = {a: list(tag) for a, tag in disk_aliases.items()
-                           if tag[0] in merged}
-                aliases.update((a, list(tag))
-                               for a, tag in self._aliases.items()
-                               if tag[0] in merged)
-                payload = {
-                    "version": 1,
-                    "entries": [[fp, data] for fp, data in merged.items()],
-                    "aliases": aliases,
-                }
-                fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                        json.dump(payload, handle)
-                    os.replace(tmp, path)
-                finally:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-        _PERSISTS.inc()
-        _log.debug("persisted %d cache entries to %s", len(payload["entries"]),
-                   path)
-        return path
-
-    @staticmethod
-    def _read_payload(path: str):
-        """Current (entries, aliases) on disk; empty when absent/corrupt.
-
-        Used by merge-on-save, where an unreadable file must degrade to
-        plain overwrite rather than failing the save.
-        """
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return [], {}
-        if not isinstance(payload, dict) or payload.get("version") != 1:
-            return [], {}
-        entries = payload.get("entries", [])
-        aliases = payload.get("aliases", {})
-        if not isinstance(entries, list) or not isinstance(aliases, dict):
-            return [], {}
-        return entries, _tagged_aliases(aliases)
-
-    def load(self, path: Optional[str] = None) -> int:
-        """Merge entries from a JSON file; returns how many were loaded.
-
-        Loaded entries rank *colder* than anything already in memory: a
-        warm in-memory verdict is never displaced (neither its value nor
-        its LRU position) by a disk entry, and when the merge overflows
-        ``max_size`` it is the loaded cold entries that evict first — a
-        load into a warm cache used to do the opposite, evicting the warm
-        working set to make room for disk history.  Hit/miss counters are
-        untouched; loading is not a probe.
-        """
-        path = path or self.path
-        if path is None:
-            raise ValueError("no persistence path configured")
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("version") != 1:
-            raise ValueError(f"unsupported cache file version in {path!r}")
-        loaded = 0
-        fresh: "OrderedDict[str, Verdict]" = OrderedDict()
-        with self._lock:
-            for fingerprint, data in payload.get("entries", []):
-                if fingerprint in self._entries:
-                    continue  # the warm in-memory verdict wins
-                verdict = Verdict.from_dict(data)
-                verdict.fingerprint = fingerprint
-                fresh[fingerprint] = verdict
-                loaded += 1
-            # Disk history first (coldest), then the existing working set
-            # in its current recency order (warmest last).
-            fresh.update(self._entries)
-            self._entries = fresh
-            for alias, tag in _tagged_aliases(
-                    payload.get("aliases", {})).items():
-                if tag[0] in self._entries:
-                    self._aliases.setdefault(alias, tag)
-            while len(self._entries) > self.max_size:
-                self._entries.popitem(last=False)
-                _EVICTIONS.inc()
-            _ENTRIES.set(len(self._entries))
-        _LOADS.inc(loaded)
-        _log.debug("loaded %d cache entries from %s", loaded, path)
-        return loaded
-
-
-def _tagged_aliases(raw: Dict) -> Dict[str, Tuple[str, str, str]]:
-    """The well-formed ``alias: [fingerprint, lhs repr digest, lhs norm
-    digest]`` items of a persisted alias index.  Anything else — notably
-    the untagged ``alias: fingerprint`` items older files carry — is
-    dropped: an alias is only a shortcut, and one that cannot orient its
-    answer is worse than none."""
-    return {alias: tuple(tag) for alias, tag in raw.items()
-            if isinstance(tag, list) and len(tag) == 3
-            and all(isinstance(part, str) for part in tag)}
-
-
-__all__ = ["ProofCache", "digest_of_key", "fingerprint_from_keys",
-           "nsum_alpha_repr", "nsum_fingerprint", "nsum_side_digest",
-           "query_side_digest", "syntactic_alias"]
+__all__ = ["ProofCache", "alias_tag_for", "digest_of_key",
+           "fingerprint_from_keys", "nsum_alpha_repr", "nsum_fingerprint",
+           "nsum_side_digest", "query_side_digest", "syntactic_alias"]

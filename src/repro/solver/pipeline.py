@@ -215,11 +215,9 @@ class Pipeline:
     """A configured tiered decision pipeline with a proof cache."""
 
     def __init__(self, config: Optional[PipelineConfig] = None,
-                 cache: Optional[ProofCache] = None,
-                 cache_path: Optional[str] = None) -> None:
+                 cache: Optional[ProofCache] = None) -> None:
         self.config = config or DEFAULT_CONFIG
-        self.cache = cache if cache is not None \
-            else ProofCache(path=cache_path)
+        self.cache = cache if cache is not None else ProofCache()
 
     # -- public API ---------------------------------------------------------
 

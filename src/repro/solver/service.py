@@ -12,8 +12,8 @@ a batch of (schema, Q1, Q2) jobs and answers them by:
 3. fanning the remaining unique questions out across a
    ``multiprocessing`` worker pool, each worker running its own
    :class:`~repro.solver.pipeline.Pipeline`,
-4. folding every worker verdict back into the shared cache (and, when
-   configured, persisting it to disk for the next run).
+4. folding every worker verdict back into the shared cache (which, when
+   it is layered over a proof store, writes it to disk for the next run).
 
 Everything that crosses the process boundary is plain data: queries are
 frozen dataclasses, verdicts are serialization-safe (live counterexamples
@@ -150,10 +150,9 @@ class VerificationService:
 
     def __init__(self, pipeline: Optional[Pipeline] = None,
                  config: Optional[PipelineConfig] = None,
-                 cache_path: Optional[str] = None,
                  workers: Optional[int] = None) -> None:
         self.pipeline = pipeline if pipeline is not None \
-            else Pipeline(config, cache_path=cache_path)
+            else Pipeline(config)
         self.default_workers = workers
         self._pool = None
         self._pool_size = 0
@@ -161,9 +160,6 @@ class VerificationService:
     @property
     def cache(self):
         return self.pipeline.cache
-
-    def save_cache(self, path: Optional[str] = None) -> str:
-        return self.cache.save(path)
 
     # -- lifecycle ----------------------------------------------------------
 

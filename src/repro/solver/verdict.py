@@ -281,9 +281,14 @@ class Verdict:
         )
 
 
-#: Fields of Verdict.to_dict the proof cache persists; kept in one place so
-#: cache entries and IPC payloads never drift apart.
+#: The prover epoch stamped on every persisted verdict.  Bump it when a
+#: change can alter any verdict (a new tier, a changed normal form or
+#: fingerprint, a soundness fix): stored records from another epoch then
+#: read as misses and are decided again.
+PROOF_EPOCH = 1
+
 __all__ = [
+    "PROOF_EPOCH",
     "BoundInfo",
     "CounterexampleRecord",
     "Status",

@@ -7,6 +7,7 @@ import pytest
 
 from repro.serve.client import ServeClient
 from repro.serve.server import ReproServer
+from repro.session import Session
 from repro.solver import Status
 
 TABLES = ["R(a:int,b:int)"]
@@ -191,6 +192,23 @@ class TestSharedStore:
             assert warm.cached  # answered from the shard store
         finally:
             second.shutdown()
+
+    def test_server_reads_a_session_store(self, tmp_path):
+        """One proof format: a store written by an in-process session is
+        served by a daemon on the same directory."""
+        with Session.from_tables(*TABLES, cache=str(tmp_path)) as session:
+            cold = session.check(Q1, Q2)
+        assert cold.status is Status.PROVED and not cold.cached
+
+        server = ReproServer(port=0, tables=TABLES,
+                             store_dir=str(tmp_path)).start()
+        try:
+            with ServeClient(server.address) as cli:
+                detail = cli.check_detail(Q1, Q2)
+            assert detail["cached"] is True
+            assert detail["verdict"]["status"] == "PROVED"
+        finally:
+            server.shutdown()
 
 
 class TestAliasFirst:

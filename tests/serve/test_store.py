@@ -1,20 +1,26 @@
-"""Sharded proof store: durability, sharing, compaction, corruption."""
+"""Sharded proof store: durability, sharing, compaction, corruption,
+crashes mid-append, prover epochs, and persisted alias tags."""
 
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 
 import pytest
 
 from repro.core.schema import INT
+from repro.serve import store as store_module
 from repro.serve.store import (
+    ALIAS_PREFIX,
     META_FILE,
     ShardedProofStore,
     StoreError,
     StoreProofCache,
 )
-from repro.solver import Pipeline, Status, Verdict
+from repro.solver import Pipeline, Status, Verdict, syntactic_alias
+from repro.solver.verdict import PROOF_EPOCH
 from repro.sql import Catalog, compile_sql
 
 
@@ -207,10 +213,6 @@ class TestStoreProofCache:
         assert len(cache._aliases) == n
         assert len(probes) < 2 * n
 
-    def test_save_is_a_noop(self, tmp_path):
-        cache = StoreProofCache(ShardedProofStore(str(tmp_path)))
-        assert cache.save() == os.path.abspath(str(tmp_path))
-
     def test_pipeline_restart_stays_warm(self, tmp_path, catalog):
         """A fresh pipeline over the same store dir serves previously
         proved pairs without re-proving (the cross-process warm story)."""
@@ -227,3 +229,161 @@ class TestStoreProofCache:
             ShardedProofStore(str(tmp_path))))
         warm = second.check(q1, q2)
         assert warm.proved and warm.cached
+
+    def test_counterexample_oriented_after_restart(self, tmp_path,
+                                                   catalog):
+        q1 = compile_sql("SELECT a FROM R", catalog).query
+        q2 = compile_sql("SELECT b FROM R", catalog).query
+        cold = Pipeline(cache=StoreProofCache(
+            ShardedProofStore(str(tmp_path)))).check(q1, q2)
+        assert cold.disproved and cold.counterexample is not None
+
+        fresh = Pipeline(cache=StoreProofCache(
+            ShardedProofStore(str(tmp_path))))
+        warm = fresh.check(q1, q2)
+        assert warm.disproved and warm.cached
+        assert warm.counterexample == cold.counterexample
+        mirrored = fresh.check(q2, q1)
+        assert mirrored.counterexample == cold.counterexample.swap_sides()
+
+
+class TestPersistedAliases:
+    """Alias tags live in the shard segments next to the verdicts, so a
+    fresh process answers a re-ask from the alias index."""
+
+    def test_alias_tags_survive_restart(self, tmp_path, catalog):
+        q1 = compile_sql("SELECT a FROM R", catalog).query
+        q2 = compile_sql("SELECT b FROM R", catalog).query
+        alias = syntactic_alias(q1, q2)
+        cold = Pipeline(cache=StoreProofCache(
+            ShardedProofStore(str(tmp_path)))).check(q1, q2, alias=alias)
+
+        cache = StoreProofCache(ShardedProofStore(str(tmp_path)))
+        assert cache.get_by_alias(alias, q1, q2).counterexample == \
+            cold.counterexample
+        assert cache.get_by_alias(alias, q2, q1).counterexample == \
+            cold.counterexample.swap_sides()
+
+    def test_registered_alias_survives_restart(self, tmp_path):
+        fp = "5" * 64
+        cache = StoreProofCache(ShardedProofStore(str(tmp_path)))
+        cache.put(fp, _verdict(fp))
+        cache.register_alias("late-alias", cache.get(fp))
+
+        fresh = StoreProofCache(ShardedProofStore(str(tmp_path)))
+        hit = fresh.get_by_alias("late-alias")
+        assert hit is not None and hit.fingerprint == fp
+
+    def test_alias_records_are_not_proofs(self, tmp_path):
+        cache = StoreProofCache(ShardedProofStore(str(tmp_path)))
+        cache.put("6" * 64, _verdict("6" * 64), alias="an-alias")
+        assert len(cache.store) == cache.store.stats()["entries"] == 1
+
+    def test_compaction_carries_alias_records(self, tmp_path):
+        store = ShardedProofStore(str(tmp_path), shards=1,
+                                  auto_compact=False)
+        cache = StoreProofCache(store)
+        fp = "7" * 64
+        cache.put(fp, _verdict(fp, Status.UNKNOWN))
+        cache.put(fp, _verdict(fp), alias="kept-alias")
+        store.compact()
+        fresh = StoreProofCache(ShardedProofStore(str(tmp_path)))
+        hit = fresh.get_by_alias("kept-alias")
+        assert hit is not None and hit.status is Status.PROVED
+
+    def test_malformed_alias_record_is_ignored(self, tmp_path):
+        # An alias that cannot orient its answer is worse than none.
+        store = ShardedProofStore(str(tmp_path))
+        store.append("8" * 64, _verdict("8" * 64))
+        store._append(ALIAS_PREFIX + "untagged", "8" * 64)
+        assert store.read_alias("untagged") is None
+        cache = StoreProofCache(ShardedProofStore(str(tmp_path)))
+        assert cache.get_by_alias("untagged") is None
+
+
+def _torn_writer(root, fingerprint, torn):
+    """Append one record, then die (SIGKILL) halfway through the next."""
+    ShardedProofStore(root, shards=1).append(fingerprint,
+                                              _verdict(fingerprint))
+    line = json.dumps([torn, _verdict(torn).to_dict(), PROOF_EPOCH])
+    with open(os.path.join(root, "shard-0000.jsonl"), "ab") as handle:
+        handle.write(line[:len(line) // 2].encode("utf-8"))
+        handle.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _concurrent_writer(root, seed):
+    cache = StoreProofCache(ShardedProofStore(root, shards=2))
+    for j in range(8):
+        tag = f"{seed:02x}{j:062x}"
+        cache.put(tag, _verdict(tag), alias=f"alias-{seed}-{j}")
+
+
+class TestCrashesAndEpochs:
+    def test_torn_tail_does_not_swallow_the_next_record(self, tmp_path):
+        root = str(tmp_path)
+        before, torn, after = "a1" * 32, "b2" * 32, "c3" * 32
+        ctx = multiprocessing.get_context("spawn")
+        child = ctx.Process(target=_torn_writer, args=(root, before, torn))
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == -signal.SIGKILL
+
+        writer = ShardedProofStore(root, shards=1, auto_compact=False)
+        writer.append(after, _verdict(after))
+        fresh = ShardedProofStore(root, shards=1)
+        assert fresh.read(before) is not None
+        assert fresh.read(after) is not None
+        assert fresh.read(torn) is None
+        writer.compact()
+        assert writer.read(before) is not None
+        assert writer.read(after) is not None
+        compacted = ShardedProofStore(root, shards=1)
+        assert compacted.read(before) is not None
+        assert compacted.read(after) is not None
+        assert len(compacted) == 2
+
+    def test_concurrent_writers_union_survives(self, tmp_path):
+        ctx = multiprocessing.get_context("spawn")
+        procs = [ctx.Process(target=_concurrent_writer,
+                             args=(str(tmp_path), i)) for i in range(4)]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=60)
+            assert p.exitcode == 0
+        cache = StoreProofCache(ShardedProofStore(str(tmp_path)))
+        assert len(cache.store) == 32
+        for i in range(4):
+            for j in range(8):
+                hit = cache.get_by_alias(f"alias-{i}-{j}")
+                assert hit is not None
+                assert hit.fingerprint == f"{i:02x}{j:062x}"
+
+    def test_other_epoch_reads_as_miss(self, tmp_path, monkeypatch):
+        root = str(tmp_path)
+        fp = "d4" * 32
+        store = ShardedProofStore(root, shards=1, auto_compact=False)
+        store.append(fp, _verdict(fp))
+        store.append_alias("old-alias", (fp, "", ""))
+        monkeypatch.setattr(store_module, "PROOF_EPOCH", PROOF_EPOCH + 1)
+
+        fresh = ShardedProofStore(root, shards=1, auto_compact=False)
+        assert fresh.read(fp) is None
+        assert fresh.read_alias("old-alias") is None
+        assert len(fresh) == 0
+        fresh.append(fp, _verdict(fp, Status.DISPROVED))  # decided again
+        assert ShardedProofStore(root, shards=1).read(fp).status \
+            is Status.DISPROVED
+        fresh.compact()  # the stale records go
+        with open(os.path.join(root, "shard-0000.jsonl"), "rb") as handle:
+            records = [json.loads(line) for line in handle]
+        assert [(r[0], r[2]) for r in records] == [(fp, PROOF_EPOCH + 1)]
+
+    def test_unstamped_records_read_as_miss(self, tmp_path):
+        fp = "e5" * 32
+        ShardedProofStore(str(tmp_path), shards=1)
+        with open(os.path.join(str(tmp_path), "shard-0000.jsonl"),
+                  "w", encoding="utf-8") as handle:
+            handle.write(json.dumps([fp, _verdict(fp).to_dict()]) + "\n")
+        assert ShardedProofStore(str(tmp_path), shards=1).read(fp) is None

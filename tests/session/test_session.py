@@ -1,10 +1,15 @@
 """The Session/QueryHandle front door: memoization, lifecycle, batches."""
 
+import os
+import re
+
 import pytest
 
 import repro.session as session_mod
 import repro.solver.pipeline as pipeline_mod
 from repro import Catalog, INT, Session, SessionError, Status, TableSpecError
+from repro.rules import all_rules
+from repro.serve.store import META_FILE
 from repro.session import parse_table_spec
 from repro.solver.verdict import Verdict
 
@@ -199,29 +204,48 @@ class TestOptimize:
 
 class TestLifecycle:
     def test_context_manager_persists_cache(self, tmp_path):
-        path = str(tmp_path / "proofs.json")
+        path = str(tmp_path / "proof-store")
         with Session.from_tables("R(a:int,b:int)", cache=path) as s:
-            s.check("SELECT a FROM R", "SELECT R.a FROM R")
-            fingerprints = {v.fingerprint for v in s.cache._entries.values()}
+            cold = s.check("SELECT a FROM R", "SELECT R.a FROM R")
+            assert not cold.cached
         with Session.from_tables("R(a:int,b:int)", cache=path) as s2:
-            assert set(s2.cache._entries) == fingerprints
             verdict = s2.check("SELECT a FROM R", "SELECT R.a FROM R")
             assert verdict.cached
+            assert verdict.fingerprint == cold.fingerprint
 
     def test_cache_kwarg_accepts_path_string(self, tmp_path):
         # Session(cache=path) must behave like from_tables(..., cache=path).
-        path = str(tmp_path / "pc.json")
+        path = str(tmp_path / "pc")
         with Session(cache=path) as s:
             s.add_table("R(a:int,b:int)")
             s.check("SELECT a FROM R", "SELECT R.a FROM R")
-        import os
-        assert os.path.exists(path)
+        assert os.path.isfile(os.path.join(path, META_FILE))
 
     def test_cache_kwarg_rejects_other_types(self):
         with pytest.raises(SessionError):
             Session(cache=42)
-        with pytest.raises(SessionError):
-            Session(cache="a.json", cache_path="b.json")
+
+    def test_cache_file_path_is_an_error(self, tmp_path):
+        # A JSON cache file from before the shard store is not a store.
+        path = tmp_path / "proofs.json"
+        path.write_text("{}")
+        with pytest.raises(SessionError, match=re.escape(str(path))):
+            Session(cache=str(path))
+
+    def test_alias_tags_survive_restart(self, tmp_path):
+        # A warm batch in a fresh session answers every rule from the
+        # persisted alias index: nothing goes back to the workers.
+        path = str(tmp_path / "proof-store")
+        rules = all_rules()[:4]
+        with Session(cache=path) as s:
+            cold = s.check_rules(rules, workers=2)
+        assert cold.computed == len(rules)
+        with Session(cache=path) as s:
+            warm = s.check_rules(rules, workers=2)
+        assert warm.cache_hits == len(rules)
+        assert warm.computed == 0
+        assert [warm.verdicts[r.name].status for r in rules] == \
+            [cold.verdicts[r.name].status for r in rules]
 
     def test_normalize_seconds_charged_once(self, session):
         h1 = session.sql("SELECT a FROM R")

@@ -69,14 +69,23 @@ class TestCheckCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_cache_file_roundtrip(self, capsys, tmp_path):
-        cache = str(tmp_path / "proofs.json")
+    def test_cache_dir_roundtrip(self, capsys, tmp_path):
+        cache = str(tmp_path / "proof-store")
         argv = ["check", "--table", "R(a:int)", "--cache", cache,
                 "SELECT a FROM R", "SELECT a FROM R"]
         assert main(argv) == 0
         capsys.readouterr()
         assert main(argv) == 0
         assert "cached" in capsys.readouterr().out
+
+    def test_cache_file_is_cli_error(self, capsys, tmp_path):
+        cache = tmp_path / "proofs.json"
+        cache.write_text("{}")
+        code = main(["check", "--table", "R(a:int)", "--cache", str(cache),
+                     "SELECT a FROM R", "SELECT a FROM R"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and str(cache) in err
 
 
 class TestBatchCheckCommand:
