@@ -187,6 +187,13 @@ def pred_sat(pred: ast.Predicate,
     inside one conjunction/disjunction (``b ∧ ¬b`` / ``b ∨ ¬b``), one
     expression pinned to two distinct constants, and ``EXISTS`` over a
     statically empty subquery.
+
+    Memoized on each interned (sub)predicate (the ``_hc_sat`` stash, one
+    entry per :class:`AnalysisContext`): the e-graph planner asks about
+    the same predicate on every match and again inside :func:`transfer`,
+    and a conjunction it builds reuses what its conjuncts already know.
+    The ``analysis.pred_sat.taut`` / ``.contra`` counters still count
+    every call, memo hits included.
     """
     result = _pred_sat(pred, ctx)
     if result is Sat.ALWAYS:
@@ -197,6 +204,17 @@ def pred_sat(pred: ast.Predicate,
 
 
 def _pred_sat(pred: ast.Predicate, ctx: AnalysisContext) -> Sat:
+    memo = pred.__dict__.get("_hc_sat")
+    if memo is None:
+        memo = {}
+        object.__setattr__(pred, "_hc_sat", memo)
+    result = memo.get(ctx)
+    if result is None:
+        result = memo[ctx] = _pred_sat_uncached(pred, ctx)
+    return result
+
+
+def _pred_sat_uncached(pred: ast.Predicate, ctx: AnalysisContext) -> Sat:
     if isinstance(pred, ast.PredTrue):
         return Sat.ALWAYS
     if isinstance(pred, ast.PredFalse):

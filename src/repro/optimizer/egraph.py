@@ -27,6 +27,17 @@ the e-node it was derived from, and every union records its reason.
 :func:`repro.optimizer.extract.rule_chain` reconstructs the winning rule
 chain for ``PlanningResult.applied_rules`` / ``explain()`` from these
 records.
+
+Change tracking, for semi-naive saturation: every canonical class has a
+**version** that goes up whenever what a rule can read off the class
+changes — it gains a member, absorbs another class, has its member list
+rewritten by :meth:`EGraph.rebuild`, or has its analysis data
+strengthened.  :meth:`EGraph.stamp` reads ``(find(c), version)`` for a
+node's children; the scheduler skips a rule on an e-node whose stamp is
+unchanged since the rule last ran there.  An attached e-class
+**analysis** (:class:`repro.optimizer.eanalysis.EClassAnalysis`) is kept
+current egg-style: made on add, merged on union, and propagated to
+parents during rebuild.
 """
 
 from __future__ import annotations
@@ -125,6 +136,11 @@ class EGraph:
         #: total e-nodes ever admitted (the saturation node budget meter).
         self.nodes_added = 0
         self.unions = 0
+        #: class id → version (meaningful for canonical ids; see stamp).
+        self._version: List[int] = []
+        #: the attached e-class analysis, told of every add, union and
+        #: rebuild (None: nothing to maintain).
+        self.analysis = None
 
     # -- union-find ---------------------------------------------------------
 
@@ -138,9 +154,31 @@ class EGraph:
     def _new_class(self) -> int:
         cid = len(self._uf)
         self._uf.append(cid)
+        self._version.append(0)
         self._classes[cid] = []
         self._parents[cid] = []
         return cid
+
+    # -- change tracking ----------------------------------------------------
+
+    def stamp(self, children: Tuple[int, ...]) -> Tuple[int, ...]:
+        """``find(c)`` and its version for each class, flattened.  Two
+        equal stamps mean no class among them gained a member, merged,
+        was rewritten by rebuild, or saw its analysis data change."""
+        out: List[int] = []
+        for cid in children:
+            cid = self.find(cid)
+            out += (cid, self._version[cid])
+        return tuple(out)
+
+    def touch(self, cid: int) -> None:
+        """Bump a canonical class's version (its derived data changed)."""
+        self._version[cid] += 1
+
+    def parents_of(self, cid: int) -> List[Tuple[ENode, int]]:
+        """``(parent e-node, parent class)`` pairs of a class (entries
+        may be stale until the next rebuild)."""
+        return self._parents[self.find(cid)]
 
     # -- sizes --------------------------------------------------------------
 
@@ -202,6 +240,8 @@ class EGraph:
         self.nodes_added += 1
         if reason is not None:
             self.reasons[node] = reason
+        if self.analysis is not None:
+            self.analysis.make(cid, node)
         return cid
 
     def add(self, op: type, label: tuple, children: Tuple[int, ...],
@@ -236,6 +276,9 @@ class EGraph:
                 < len(self._classes[b]) + len(self._parents[b])):
             a, b = b, a
         self._uf[b] = a
+        self._version[a] += 1
+        if self.analysis is not None:
+            self.analysis.merge(a, b)
         self._classes[a].extend(self._classes.pop(b))
         self._parents[a].extend(self._parents.pop(b))
         self._dirty.append(a)
@@ -247,15 +290,18 @@ class EGraph:
     def rebuild(self) -> int:
         """Restore congruence: re-canonicalize parents of merged classes
         and merge any that collide in the hashcons.  Returns the number
-        of congruence unions performed.  Also deduplicates every class's
-        e-node list, so match enumeration and plan counting never see a
-        stale twin of a canonical node."""
+        of congruence unions performed.  Then propagates the attached
+        analysis's pending changes to parent classes, and deduplicates
+        every class's e-node list, so match enumeration and plan
+        counting never see a stale twin of a canonical node."""
         congruences = 0
         while self._dirty:
             todo = {self.find(cid) for cid in self._dirty}
             self._dirty = []
             for cid in todo:
                 congruences += self._repair(self.find(cid))
+        if self.analysis is not None:
+            self.analysis.propagate()
         self._compact()
         return congruences
 
@@ -294,17 +340,23 @@ class EGraph:
             self.primordial.add(canon)
 
     def _compact(self) -> None:
-        """Drop stale duplicates from every class's e-node list."""
+        """Drop stale duplicates from every class's e-node list (a class
+        whose list changes gets a new version)."""
         for cid, nodes in self._classes.items():
             seen: Dict[ENode, bool] = {}
             out: List[ENode] = []
+            changed = False
             for node in nodes:
                 canon = self.canonicalize(node)
-                self._migrate(node, canon)
+                if canon is not node:
+                    changed = True
+                    self._migrate(node, canon)
                 if canon not in seen:
                     seen[canon] = True
                     out.append(canon)
-            self._classes[cid] = out
+            if changed or len(out) != len(nodes):
+                self._classes[cid] = out
+                self._version[cid] += 1
 
     # -- reading terms back -------------------------------------------------
 

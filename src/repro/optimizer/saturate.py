@@ -8,6 +8,17 @@ per-iteration index keyed on the root constructor (a rule matching
 ``Where`` never scans ``Product`` nodes), and the e-graph is rebuilt once
 per iteration in egg's deferred style.
 
+Matching is semi-naive.  What a rule can do at an e-node is a function
+of the node and of its child classes: their members, their members'
+children, and their analysis data.  The e-graph versions every class
+(:meth:`~repro.optimizer.egraph.EGraph.stamp`), and the scheduler
+remembers, per ``(rule, e-node)``, the children's stamp from just before
+the rule last ran there.  While that stamp is unchanged the rule is
+skipped: a re-run could only re-add nodes that exist and re-union
+classes that are already one.  So each iteration pays only for e-nodes
+whose inputs changed, and the counts in :class:`SaturationStats` count
+those applications, not repeats that change nothing.
+
 Saturation runs until a fixpoint (no new nodes, no new unions — the rule
 set is then *saturated* and the e-graph provably contains every plan the
 rules can reach), or until the iteration / node budgets cut it off.  The
@@ -76,7 +87,12 @@ class SaturationBudget:
 
 @dataclass
 class SaturationStats:
-    """What the saturation loop did and why it stopped."""
+    """What the saturation loop did and why it stopped.
+
+    ``matches`` and ``rules_fired`` count fires of rules that actually
+    ran — on e-nodes whose child classes changed since the rule last ran
+    there (see the module docstring) — not skipped repeats.
+    """
 
     iterations: int = 0
     matches: int = 0
@@ -94,7 +110,11 @@ class ERule:
     """A rewrite over e-nodes: fires on every e-node whose root
     constructor is in ``ops``; ``apply`` performs its adds/unions
     directly on the e-graph (recording provenance) and returns how many
-    times it fired."""
+    times it fired.
+
+    What ``apply`` does may depend only on the e-node and its child
+    classes — their ids, members, members' children and analysis data —
+    since the scheduler skips it while those are unchanged."""
 
     name: str
     ops: Tuple[type, ...]
@@ -286,13 +306,17 @@ def saturate(eg: EGraph, rules: Tuple[ERule, ...] = ERULES,
     """Run the rule suite to fixpoint or budget exhaustion.
 
     Each iteration snapshots the current ``(class, e-node)`` population,
-    fires every matching rule on it (writes go straight into the
-    e-graph), then rebuilds congruence once.  The loop stops when an
-    iteration changes nothing (``saturated=True``), when the node budget
-    is spent, or when the iteration budget runs out.
+    fires every matching rule on it whose inputs changed since it last
+    ran there (writes go straight into the e-graph), then rebuilds
+    congruence once.  The loop stops when an iteration changes nothing
+    (``saturated=True``), when the node budget is spent, or when the
+    iteration budget runs out.
     """
     budget = budget if budget is not None else SaturationBudget()
     index = _rule_index(rules)
+    #: e-node → per rule of its op, the children's stamp when that rule
+    #: last ran there (None: never).
+    last_run: Dict[ENode, List[Optional[tuple]]] = {}
     stats = SaturationStats()
     with span("optimizer.saturate") as root:
         for _ in range(budget.max_iterations):
@@ -306,7 +330,21 @@ def saturate(eg: EGraph, rules: Tuple[ERule, ...] = ERULES,
                     if eg.nodes_added >= budget.max_nodes:
                         out_of_nodes = True
                         break
-                    for rule in index.get(node.op, ()):
+                    node_rules = index.get(node.op)
+                    if node_rules is None:
+                        continue
+                    ran = last_run.get(node)
+                    if ran is None:
+                        ran = last_run[node] = [None] * len(node_rules)
+                    for i, rule in enumerate(node_rules):
+                        # Mid-iteration only a union can move a find or
+                        # a version, so the stamp is re-read after one.
+                        if i == 0 or eg.unions != unions_seen:
+                            stamp = eg.stamp(node.children)
+                            unions_seen = eg.unions
+                        if ran[i] == stamp:
+                            continue  # same inputs: nothing new to add
+                        ran[i] = stamp
                         fired = rule.apply(eg, eg.find(cid), node)
                         if fired:
                             stats.matches += fired

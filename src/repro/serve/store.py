@@ -80,6 +80,41 @@ class StoreError(ValueError):
     """Raised for an unusable store directory (bad meta, bad shards)."""
 
 
+def _record_head(raw: bytes) -> Optional[Tuple[str, Any]]:
+    """``(key, epoch)`` of a record line, read off its ``["<key>",``
+    head and its ``,<epoch>]`` tail without parsing the payload between
+    them.  None for a line without a key head (corrupt); the epoch is
+    None when the tail is not one (unstamped).  A line that has the
+    shape but is not JSON (a payload torn mid-write) is caught by
+    :meth:`ShardedProofStore._record_at`, which parses the whole record
+    on read."""
+    if not (raw.startswith(b'["') and raw.endswith(b"]")):
+        return None
+    close = raw.find(b'"', 2)
+    if close < 0 or b"\\" in raw[2:close] \
+            or raw[close + 1:close + 2] != b",":
+        # An escaped key (none that this store writes) or a malformed
+        # head: only a full parse can tell.
+        try:
+            record = json.loads(raw)
+        except ValueError:
+            return None
+        if not isinstance(record, list) or not record \
+                or not isinstance(record[0], str):
+            return None
+        return record[0], (record[2] if len(record) == 3 else None)
+    try:
+        key = raw[2:close].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    tail = raw.rfind(b",")
+    try:
+        epoch = int(raw[tail + 1:-1]) if tail > close else None
+    except ValueError:
+        epoch = None  # not an integer epoch: never the current one
+    return key, epoch
+
+
 class ShardedProofStore:
     """The disk tier: fingerprint → verdict across sharded JSONL segments.
 
@@ -184,19 +219,16 @@ class ShardedProofStore:
         for raw in data[:complete + 1].split(b"\n")[:-1]:
             record_offset = offset
             offset += len(raw) + 1
-            try:
-                record = json.loads(raw)
-            except ValueError:
+            head = _record_head(raw)
+            if head is None:
                 continue  # torn or corrupt line: ignore, never crash
-            if not isinstance(record, list) or not record \
-                    or not isinstance(record[0], str):
-                continue
-            if record[2:] != [PROOF_EPOCH]:
+            key, epoch = head
+            if epoch != PROOF_EPOCH:
                 dead += 1  # unstamped, or another epoch's: a miss
                 continue
-            if record[0] in index:
+            if key in index:
                 dead += 1
-            index[record[0]] = record_offset
+            index[key] = record_offset
         self._dead[shard] = dead
         self._scanned[shard] = start + complete + 1
 
@@ -210,7 +242,8 @@ class ShardedProofStore:
                 record = json.loads(handle.readline())
         except (OSError, ValueError):
             return None
-        if not isinstance(record, list) or record[:1] != [key]:
+        if not isinstance(record, list) or record[:1] != [key] \
+                or record[2:] != [PROOF_EPOCH]:
             return None
         return record
 

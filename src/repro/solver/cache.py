@@ -31,7 +31,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from ..core.equivalence import Hypotheses
+from ..core.equivalence import Hypotheses, NO_HYPOTHESES
 from ..core.intern import KernelLRU
 from ..core.normalize import NSum, nsum_alpha_key
 from ..obs.metrics import counter, gauge
@@ -132,10 +132,17 @@ def syntactic_alias(q1, q2, ctx_schema=None,
     memo, a session handle) costs two memo probes, not two renderings.
     Distinct aliases may share a fingerprint (alpha-equivalent inputs);
     the alias index only ever short-circuits work, never changes answers.
+
+    No hypotheses and :data:`NO_HYPOTHESES` are one question, so both
+    spell ``None`` here: the daemon (which passes none) and
+    batch-check / prove-all (which pass the empty set) agree on the
+    alias of a closed pair and share each other's stored aliases.
     """
     k1, k2 = query_side_digest(q1), query_side_digest(q2)
     if k2 < k1:
         k1, k2 = k2, k1
+    if hyps == NO_HYPOTHESES:
+        hyps = None
     extra = f"|{ctx_schema!r}|{hyps!r}"
     return hashlib.sha256((k1 + "\x00" + k2 + extra)
                           .encode("utf-8")).hexdigest()

@@ -7,8 +7,10 @@ import pytest
 
 from repro.serve.client import ServeClient
 from repro.serve.server import ReproServer
+from repro.serve.store import ShardedProofStore, StoreProofCache
 from repro.session import Session
-from repro.solver import Status
+from repro.solver import Pipeline, Status
+from repro.solver.service import Job, VerificationService
 
 TABLES = ["R(a:int,b:int)"]
 Q1 = "SELECT DISTINCT a FROM R"
@@ -209,6 +211,34 @@ class TestSharedStore:
             assert detail["verdict"]["status"] == "PROVED"
         finally:
             server.shutdown()
+
+
+    def test_batch_store_answers_daemon_from_its_alias_index(self,
+                                                            tmp_path):
+        """batch-check (which passes the empty hypothesis set) and the
+        daemon (which passes none) compute one alias for a closed pair,
+        so a store filled by a batch gives the daemon alias hits."""
+        with Session.from_tables(*TABLES) as session:
+            q1, q2 = session.sql(Q1).query, session.sql(Q2).query
+        store = StoreProofCache(ShardedProofStore(str(tmp_path)))
+        with VerificationService(Pipeline(cache=store)) as service:
+            report = service.check_batch([Job("j0", q1, q2)], workers=1)
+        assert report.computed == 1
+
+        server = ReproServer(port=0, tables=TABLES,
+                             store_dir=str(tmp_path)).start()
+        try:
+            before = server._op_stats({})["server"]
+            with ServeClient(server.address) as cli:
+                detail = cli.check_detail(Q1, Q2)
+            after = server._op_stats({})["server"]
+        finally:
+            server.shutdown()
+        assert detail["dedup"] == "alias"
+        assert detail["cached"] is True
+        assert detail["verdict"]["status"] == "PROVED"
+        assert after["alias_hits_total"] == before["alias_hits_total"] + 1
+        assert after["pipeline_runs_total"] == before["pipeline_runs_total"]
 
 
 class TestAliasFirst:

@@ -380,6 +380,29 @@ class TestCrashesAndEpochs:
             records = [json.loads(line) for line in handle]
         assert [(r[0], r[2]) for r in records] == [(fp, PROOF_EPOCH + 1)]
 
+    def test_payload_with_brackets_and_quotes_is_indexed(self, tmp_path):
+        # The scan reads the key off the line's head and the epoch off
+        # its tail; neither may be fooled by what the payload holds.
+        tricky = ('a",b]', '],"x",9]', ', 1]')
+        store = ShardedProofStore(str(tmp_path), shards=1)
+        store.append_alias("tricky", tricky)
+        store._append('key "with", quotes]', ["]", '",'])
+        fresh = ShardedProofStore(str(tmp_path), shards=1)
+        assert fresh.read_alias("tricky") == tricky
+        assert fresh._lookup('key "with", quotes]') == ["]", '",']
+        assert len(fresh) == 1  # alias records aside
+
+    def test_torn_payload_of_record_shape_reads_as_miss(self, tmp_path):
+        # A line cut inside its payload can still end in ",<epoch>]";
+        # the full parse on read turns it into a miss, never a crash.
+        fp = "f6" * 32
+        ShardedProofStore(str(tmp_path), shards=1)
+        with open(os.path.join(str(tmp_path), "shard-0000.jsonl"),
+                  "w", encoding="utf-8") as handle:
+            handle.write(f'["{fp}",{{"status":"PROVED","rows":[0,'
+                         f'{PROOF_EPOCH}]\n')
+        assert ShardedProofStore(str(tmp_path), shards=1).read(fp) is None
+
     def test_unstamped_records_read_as_miss(self, tmp_path):
         fp = "e5" * 32
         ShardedProofStore(str(tmp_path), shards=1)
