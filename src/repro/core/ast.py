@@ -18,7 +18,8 @@ All nodes are frozen dataclasses — hashable, comparable, and safe to share
 — and, like the UniNomial kernel, **hash-consed** through
 :func:`repro.core.intern.interned`: structurally equal constructions
 return the *same* object, so structural equality coincides with pointer
-equality on canonical nodes and ``__hash__`` is computed once per node.
+equality on canonical nodes; each node hashes by identity and is built
+by the kernel's generated constructor.
 The equality-saturation optimizer keys its e-graph hashcons and its
 term→e-class memo on these canonical identities.
 """

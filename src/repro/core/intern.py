@@ -17,9 +17,18 @@ object:
 * ``TVar("x", s) is TVar("x", s)`` — pointer equality coincides with
   structural equality for canonical nodes, so ``__eq__`` answers identity
   checks first and two canonical nodes are unequal without recursion;
-* ``__hash__`` is computed once and stored on the node (children are
-  themselves interned, so the first computation is O(children), not
-  O(subtree));
+* the hash is the node's identity (``object.__hash__``, in C): a
+  canonical node is the only one of its structure, so identity hashing
+  agrees with structural equality; an un-canonical node (see below)
+  hashes by identity too, so a memo keyed on it is hit by that object
+  only;
+* the constructor is generated, one compiled template per field count:
+  it probes the class's table with the argument tuple itself as the key
+  and, on a miss, sets the fields once with ``object.__setattr__`` — the
+  dataclass ``__init__`` never runs a second time;
+* ``__repr__`` prints the dataclass text without the dataclass recursion
+  guard (an immutable DAG cannot contain itself), from the same
+  per-arity templates;
 * ``__str__`` and ``schema`` lookups are likewise computed once per node;
 * per-node semantic metadata — free-variable frozensets, alpha-canonical
   keys, proposition flags — is attached by the defining modules through
@@ -30,10 +39,13 @@ object:
 Canonical nodes live in per-class strong dict tables, egg-style: once a
 node wins its slot it stays canonical for the life of the process, and
 the table can never "evict" a live node (which would let a second
-canonical twin appear and break the pointer-equality invariant).  Table
-keys identify children by ``id`` — sound because a table entry keeps its
-children alive, so their ids cannot be reused.  (Earlier revisions used
-``weakref.WeakValueDictionary`` here; the strong table drops the
+canonical twin appear and break the pointer-equality invariant).  A
+table key is the tuple of field values, holding only canonical children:
+those hash and compare by identity, so key equality is exactly the
+dataclass's structural equality, at C speed.  A key with an un-canonical
+child never enters a table — the constructor canonicalizes such children
+first, or gives up and builds an un-canonical node.  (Earlier revisions
+used ``weakref.WeakValueDictionary`` here; the strong table drops the
 KeyedRef allocation and deref from the constructor — the single largest
 line in the cold prover profile.)  What keeps the tables small is the
 normalizer: it builds intermediate clauses as plain tuples and interns
@@ -42,16 +54,22 @@ only refined normal forms, so throwaway clauses never win a slot.
 Pickling re-interns: interned classes reduce to ``(cls, field_values)``,
 so a term crossing the batch service's process boundary is reconstructed
 through the constructor and lands on the receiving process's canonical
-node.  Instances restored through other paths (or carrying unhashable
-payloads) simply stay un-canonical: they still compare structurally, they
-just do not get the pointer fast paths.
+node.  Instances carrying unhashable payloads (or calls the dataclass
+``__init__`` rejects, which raise its error unchanged) take the general
+path, which runs that initializer: such nodes stay un-canonical — they
+still compare structurally, they just do not get the pointer fast paths.
+Because the generated constructor sets fields straight from its
+arguments, :func:`interned` refuses classes with a ``__post_init__``, a
+defaulted field, or a field that is not a plain positional ``__init__``
+parameter.
 
 Thread safety: the intern tables and every :class:`KernelLRU` take a lock
 around their critical sections; racing constructors may build a transient
 duplicate, but only the table winner is ever returned (and only the
-winner is marked canonical).  The constructor's table *probe* is
-lock-free, so the hit counter is approximate under concurrency; the
-canonical-node count is exact.
+winner is marked canonical, before it enters the table, so no thread can
+see it unmarked).  The constructor's table *probe* is lock-free, so the
+hit counter is approximate under concurrency; the canonical-node count
+is exact.
 
 The module also hosts :class:`KernelLRU`, the bounded thread-safe
 memo table used by the kernel's caching layers (``normalize``,
@@ -64,7 +82,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import fields as _dataclass_fields
+from dataclasses import MISSING, fields as _dataclass_fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -90,87 +108,64 @@ _READY = "_hc_ready"
 class _ClassInfo:
     """Bookkeeping for one interned class."""
 
-    __slots__ = ("table", "field_names", "canonize", "orig_init")
+    __slots__ = ("cls", "table", "field_names", "canonize", "orig_init")
 
-    def __init__(self, field_names: Tuple[str, ...],
-                 canonize: Optional[Callable], orig_init: Callable) -> None:
-        self.table: Dict[Any, Any] = {}
+    def __init__(self, cls: type, field_names: Tuple[str, ...],
+                 canonize: Optional[Callable]) -> None:
+        self.cls = cls
+        self.table: Dict[tuple, Any] = {}
         self.field_names = field_names
         self.canonize = canonize
-        self.orig_init = orig_init
+        self.orig_init = cls.__init__
 
 
 _CLASSES: Dict[type, _ClassInfo] = {}
 _INTERN_HITS = 0
 _INTERN_MISSES = 0
 
+#: What :func:`_canon` returns for a value holding an interned node that
+#: cannot be made canonical (an unhashable payload somewhere inside it).
+_STUCK = object()
+
+
+def _is_canonical(values: tuple) -> bool:
+    """True iff no interned node in ``values`` (or in a tuple nested in
+    it) is un-canonical — the condition for ``values`` to be a table key."""
+    for v in values:
+        t = v.__class__
+        if t in _CLASSES:
+            if _READY not in v.__dict__:
+                return False
+        elif t is tuple and not _is_canonical(v):
+            return False
+    return True
+
 
 def _canon(value: Any) -> Any:
-    """Replace an interned-class instance by its canonical node."""
-    info = _CLASSES.get(type(value))
-    if info is not None:
-        if value.__dict__.get(_READY):
-            return value
-        # A structurally valid but un-canonical instance (e.g. restored
-        # through a legacy pickle path): rebuild through the constructor.
-        return type(value)(*[getattr(value, n) for n in info.field_names])
-    if type(value) is tuple:
-        return tuple(_canon(v) for v in value)
-    return value
-
-
-def _key_of(value: Any) -> Any:
-    """Intern-table key of one constructor argument.
-
-    Canonical children are identified by ``id`` (unique while alive — and
-    a live table entry keeps its children alive); strings by themselves;
-    tuples recursively; any other value behind a ``("v", ...)`` tag so a
-    raw integer can never collide with a child's id.
-    """
+    """``value`` with every interned node in it replaced by its canonical
+    node (rebuilt through the constructor), or ``_STUCK`` if one of them
+    cannot be interned."""
     t = type(value)
-    if t in _CLASSES and value.__dict__.get(_READY):
-        return id(value)
-    if t is tuple:
-        return tuple(_key_of(v) for v in value)
-    if t is str:
+    info = _CLASSES.get(t)
+    if info is not None:
+        if _READY not in value.__dict__:
+            value = t(*[value.__dict__[n] for n in info.field_names])
+            if _READY not in value.__dict__:
+                return _STUCK
         return value
-    return ("v", value)
-
-
-def _fast_tuple_key(value: tuple) -> Optional[tuple]:
-    """Key of a tuple argument whose members are all already canonical.
-
-    Returns ``None`` when a member would need canonicalizing first; the
-    constructor then falls back to the slow path.
-    """
-    parts: list = []
-    for x in value:
-        t = x.__class__
-        if t in _CLASSES:
-            if _READY in x.__dict__:
-                parts.append(id(x))
-            else:
-                return None
-        elif t is str:
-            parts.append(x)
-        elif t is tuple:
-            kp = _fast_tuple_key(x)
-            if kp is None:
-                return None
-            parts.append(kp)
-        else:
-            parts.append(("v", x))
-    return tuple(parts)
+    if t is tuple:
+        value = tuple([_canon(v) for v in value])
+        if any(v is _STUCK for v in value):
+            return _STUCK
+    return value
 
 
 def _bind(field_names: Tuple[str, ...], args: tuple,
           kwargs: dict) -> Optional[tuple]:
     """Normalize positional/keyword constructor arguments to field order.
 
-    Returns ``None`` for arities the dataclass ``__init__`` would reject
-    (including the zero-argument ``__new__`` pickling uses) — the caller
-    then falls back to an un-interned instance and lets ``__init__``
-    raise, preserving the original error behaviour.
+    Returns ``None`` for calls the dataclass ``__init__`` would reject;
+    the caller then runs that initializer, which raises its own error.
     """
     n = len(field_names)
     if not kwargs:
@@ -189,149 +184,185 @@ def _bind(field_names: Tuple[str, ...], args: tuple,
     return tuple(vals)
 
 
+def _publish(table: dict, key: tuple, inst: Any) -> Any:
+    """Make ``inst`` the canonical node for ``key`` unless a racing
+    constructor got there first; returns the table's winner.
+
+    The marker is set before the node becomes visible in the table, and
+    only on the winner.
+    """
+    global _INTERN_HITS, _INTERN_MISSES
+    with _LOCK:
+        winner = table.get(key)
+        if winner is None:
+            object.__setattr__(inst, _READY, True)
+            table[key] = inst
+            _INTERN_MISSES += 1
+            return inst
+        _INTERN_HITS += 1
+        return winner
+
+
+def _slow_new(info: _ClassInfo, kls: type, args: tuple,
+              kwargs: dict) -> Any:
+    """The constructor's general path: keyword arguments, wrong arity,
+    un-canonical children, unhashable payloads, subclasses, and every
+    class with a ``canonize``.
+
+    A call that cannot be interned builds a plain instance through the
+    dataclass initializer, so a bad call raises that initializer's
+    ``TypeError`` and an unhashable payload keeps its arguments as given.
+    """
+    global _INTERN_HITS
+    vals = _bind(info.field_names, args, kwargs) \
+        if kls is info.cls else None
+    if vals is not None:
+        if info.canonize is not None:
+            vals = info.canonize(vals)
+        if not _is_canonical(vals):
+            vals = _canon(vals)
+    if vals is not None and vals is not _STUCK:
+        try:
+            inst = info.table.get(vals)
+        except TypeError:
+            pass  # unhashable payload (exotic constant): stay un-interned
+        else:
+            if inst is not None:
+                _INTERN_HITS += 1
+                return inst
+            inst = object.__new__(kls)
+            for name, value in zip(info.field_names, vals):
+                object.__setattr__(inst, name, value)
+            return _publish(info.table, vals, inst)
+    inst = object.__new__(kls)
+    info.orig_init(inst, *args, **kwargs)
+    return inst
+
+
+# One source template per field count, compiled once and shared by every
+# interned class of that arity; each class's ``__new__``/``__repr__`` are
+# closures over its own table, field names and repr format.  The table
+# key is the argument tuple itself: a canonical child hashes and compares
+# by identity, so tuple equality on canonical arguments is exactly the
+# dataclass's structural equality.
+_TEMPLATE = '''\
+def make(cls, info, fmt):
+    table = info.table
+    get = table.get
+    new = object.__new__
+    setattr = object.__setattr__
+{unpack_names}
+    def __new__(kls, *args, **kwargs):
+        global _INTERN_HITS, _INTERN_MISSES
+        if kwargs or kls is not cls:
+            return _slow_new(info, kls, args, kwargs)
+        try:
+            inst = get(args)
+        except TypeError:
+            return _slow_new(info, kls, args, kwargs)
+        if inst is not None:
+            _INTERN_HITS += 1
+            return inst
+        if len(args) != {n}:
+            return _slow_new(info, kls, args, kwargs)
+{unpack_args}{checks}
+        inst = new(kls)
+{sets}        with _LOCK:  # as in _publish, inlined
+            winner = get(args)
+            if winner is None:
+                setattr(inst, _READY, True)
+                table[args] = inst
+                _INTERN_MISSES += 1
+                return inst
+            _INTERN_HITS += 1
+            return winner
+
+    def __repr__(self):
+        d = self.__dict__
+        return fmt % (self.__class__.__qualname__, {reprs})
+
+    return __new__, __repr__
+'''
+
+_CHECK = '''\
+        t = a{i}.__class__
+        if t in _CLASSES:
+            if _READY not in a{i}.__dict__:
+                return _slow_new(info, kls, args, kwargs)
+        elif t is tuple and not _is_canonical(a{i}):
+            return _slow_new(info, kls, args, kwargs)
+'''
+
+_MAKERS: Dict[int, Callable] = {}
+
+
+def _maker(n: int) -> Callable:
+    """The compiled constructor/repr template for ``n``-field classes."""
+    make = _MAKERS.get(n)
+    if make is None:
+        names = "".join(f"n{i}, " for i in range(n))
+        values = "".join(f"a{i}, " for i in range(n))
+        source = _TEMPLATE.format(
+            n=n,
+            unpack_names=f"    {names}= info.field_names\n" if n else "",
+            unpack_args=f"        {values}= args\n" if n else "",
+            checks="".join(_CHECK.format(i=i) for i in range(n)),
+            sets="".join(f"        setattr(inst, n{i}, a{i})\n"
+                         for i in range(n)),
+            reprs="".join(f"d[n{i}], " for i in range(n)))
+        scope: Dict[str, Any] = {}
+        # Module globals, so ``global _INTERN_HITS`` counts here.
+        exec(compile(source, f"<interned constructor, {n} fields>", "exec"),
+             globals(), scope)
+        make = _MAKERS[n] = scope["make"]
+    return make
+
+
+def _check_constructible(cls: type, fields: tuple) -> None:
+    """Refuse, at decoration time, what the generated constructor would
+    silently skip: it sets every field straight from its positional
+    argument and never runs the dataclass ``__init__`` on a canonical
+    node."""
+    name = cls.__qualname__
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"@interned class {name} must not define "
+                        f"__post_init__")
+    for f in fields:
+        if f.default is not MISSING or f.default_factory is not MISSING:
+            raise TypeError(f"@interned class {name}: field {f.name!r} "
+                            f"must not have a default")
+        if not f.init or getattr(f, "kw_only", False) is True:
+            raise TypeError(f"@interned class {name}: field {f.name!r} "
+                            f"must be a positional __init__ parameter")
+
+
 def interned(cls=None, *, canonize: Optional[Callable] = None):
     """Class decorator hash-consing a frozen dataclass.
 
-    Apply *above* ``@dataclass(frozen=True)``.  ``canonize``, when given,
-    maps the bound field-value tuple to its canonical form before
-    interning (e.g. sorting an AC operator's operand tuple), so the
-    canonical order is established once at construction.
+    Apply *above* ``@dataclass(frozen=True)``.  Every field must be a
+    plain positional ``__init__`` parameter without a default, and the
+    class must not define ``__post_init__`` (a ``TypeError`` otherwise).
+    ``canonize``, when given, maps the bound field-value tuple to its
+    canonical form before interning (e.g. sorting an AC operator's
+    operand tuple), so the canonical order is established once at
+    construction.
     """
     if cls is None:
         return lambda c: interned(c, canonize=canonize)
 
-    field_names = tuple(f.name for f in _dataclass_fields(cls))
-    n_fields = len(field_names)
-    info = _ClassInfo(field_names, canonize, cls.__init__)
-    table = info.table
+    fields = _dataclass_fields(cls)
+    _check_constructible(cls, fields)
+    field_names = tuple(f.name for f in fields)
+    info = _ClassInfo(cls, field_names, canonize)
     orig_eq = cls.__eq__
-    orig_hash = cls.__hash__
     # Wrap any non-default __str__ (own or inherited, e.g. the shared
     # Schema.__str__) with a per-node cache.
     orig_str = cls.__str__ if cls.__str__ is not object.__str__ else None
-
-    def _slow_new(kls, args, kwargs):
-        """Full constructor path: keyword args, wrong arity, un-canonical
-        or unhashable children.  Canonicalizes children and builds the
-        table key in one pass."""
-        global _INTERN_HITS, _INTERN_MISSES
-        vals = args if not kwargs and len(args) == n_fields \
-            else _bind(field_names, args, kwargs)
-        if vals is None:
-            return object.__new__(kls)
-        # Canonical interned children key by id; primitives by tagged
-        # value (an id is an int, so raw numbers must not collide with
-        # it); everything else by the value itself.
-        canon_vals: list = []
-        key_parts: list = []
-        for v in vals:
-            t = type(v)
-            child_info = _CLASSES.get(t)
-            if child_info is not None:
-                if not v.__dict__.get(_READY):
-                    v = t(*[getattr(v, name)
-                            for name in child_info.field_names])
-                    if not v.__dict__.get(_READY):
-                        # Child cannot be canonicalized (unhashable
-                        # payload): the parent stays un-interned too.
-                        return object.__new__(kls)
-                canon_vals.append(v)
-                key_parts.append(id(v))
-            elif t is tuple:
-                v = _canon(v)
-                canon_vals.append(v)
-                key_parts.append(_key_of(v))
-            else:
-                canon_vals.append(v)
-                key_parts.append(v if t is str else ("v", v))
-        vals = tuple(canon_vals)
-        if canonize is not None:
-            vals = canonize(vals)
-            key_parts = [_key_of(v) for v in vals]
-        key = tuple(key_parts)
-        try:
-            inst = table.get(key)
-        except TypeError:
-            # Unhashable payload (exotic constant): stay un-interned;
-            # __init__ below runs the original dataclass initializer.
-            return object.__new__(kls)
-        if inst is not None:
-            _INTERN_HITS += 1
-            return inst
-        inst = object.__new__(kls)
-        info.orig_init(inst, *vals)
-        with _LOCK:
-            winner = table.get(key)
-            if winner is None:
-                object.__setattr__(inst, _READY, True)
-                table[key] = inst
-                _INTERN_MISSES += 1
-                winner = inst
-            else:
-                _INTERN_HITS += 1
-        return winner
-
-    def __new__(kls, *args, **kwargs):
-        global _INTERN_HITS, _INTERN_MISSES
-        if kls is not cls:
-            return object.__new__(kls)
-        if kwargs or len(args) != n_fields:
-            return _slow_new(kls, args, kwargs)
-        # Hot path: positional construction from already-canonical
-        # children.  Builds only the table key — on a hit no argument
-        # tuple is materialized and no child is re-canonicalized.
-        key_parts: list = []
-        for v in args:
-            t = v.__class__
-            if t in _CLASSES:
-                if _READY in v.__dict__:
-                    key_parts.append(id(v))
-                else:
-                    return _slow_new(kls, args, kwargs)
-            elif t is str:
-                key_parts.append(v)
-            elif t is tuple:
-                kp = _fast_tuple_key(v)
-                if kp is None:
-                    return _slow_new(kls, args, kwargs)
-                key_parts.append(kp)
-            else:
-                key_parts.append(("v", v))
-        vals = args
-        if canonize is not None:
-            vals = canonize(args)
-            if len(vals) != n_fields or any(
-                    a is not b for a, b in zip(vals, args)):
-                key_parts = [_key_of(v) for v in vals]
-        key = tuple(key_parts)
-        try:
-            # Lock-free probe: under the GIL this is one dict read, and
-            # a stale miss only costs a re-derivation resolved under the
-            # insert lock below.
-            inst = table.get(key)
-        except TypeError:
-            # Unhashable payload (exotic constant): stay un-interned.
-            return object.__new__(kls)
-        if inst is not None:
-            _INTERN_HITS += 1
-            return inst
-        inst = object.__new__(kls)
-        info.orig_init(inst, *vals)
-        with _LOCK:
-            winner = table.get(key)
-            if winner is None:
-                object.__setattr__(inst, _READY, True)
-                table[key] = inst
-                _INTERN_MISSES += 1
-                winner = inst
-            else:
-                _INTERN_HITS += 1
-        return winner
-
-    def __init__(self, *args, **kwargs):
-        if self.__dict__.get(_READY):
-            return  # canonical node: fields were set inside __new__
-        info.orig_init(self, *args, **kwargs)
+    fmt = "%s(" + ", ".join(f"{n}=%r" for n in field_names) + ")"
+    new, fast_repr = _maker(len(field_names))(cls, info, fmt)
+    if canonize is not None:
+        def new(kls, *args, **kwargs):
+            return _slow_new(info, kls, args, kwargs)
 
     def __eq__(self, other):
         if self is other:
@@ -342,22 +373,24 @@ def interned(cls=None, *, canonize: Optional[Callable] = None):
             return False  # two distinct canonical nodes differ structurally
         return orig_eq(self, other)
 
-    def __hash__(self):
-        h = self.__dict__.get("_hc_hash")
-        if h is None:
-            h = orig_hash(self)
-            object.__setattr__(self, "_hc_hash", h)
-        return h
-
     def __reduce__(self):
         return (self.__class__,
                 tuple(getattr(self, n) for n in field_names))
 
-    cls.__new__ = __new__
-    cls.__init__ = __init__
+    cls.__new__ = new
+    # Every path through __new__ returns a fully initialized instance.
+    cls.__init__ = object.__init__
     cls.__eq__ = __eq__
-    cls.__hash__ = __hash__
+    # Canonical nodes are unique per structure, so identity is a sound
+    # hash for them (an un-canonical node hashes by identity too).
+    cls.__hash__ = object.__hash__
     cls.__reduce__ = __reduce__
+    # Replace the dataclass __repr__ (recognized by its recursion-guard
+    # wrapper) with the same text minus the guard: interned nodes are
+    # immutable DAGs, so a repr cannot recurse into itself.
+    if hasattr(cls.__dict__.get("__repr__"), "__wrapped__") \
+            and all(f.repr for f in fields):
+        cls.__repr__ = fast_repr
     if orig_str is not None:
         def __str__(self):
             s = self.__dict__.get("_hc_str")

@@ -121,18 +121,44 @@ class DisproofResult:
 # Query analysis: what would we have to enumerate?
 # ---------------------------------------------------------------------------
 
+def _query_facts(query: ast.Query
+                 ) -> Tuple[bool, Dict[str, Schema], Optional[str]]:
+    """``(has metavariables, tables, first schema conflict)`` of a query.
+
+    One walk per query node: the result is stashed on the (immutable)
+    node as ``_hc_dfacts``, so a query asked about in many pairs is
+    walked once.
+    """
+    facts = query.__dict__.get("_hc_dfacts")
+    if facts is None:
+        meta = False
+        tables: Dict[str, Schema] = {}
+        conflict = None
+        for node in iter_ast(query):
+            if isinstance(node, (ast.PredVar, ast.ExprVar, ast.PVar)):
+                meta = True
+            elif isinstance(node, ast.Table):
+                meta = meta or not node.schema.is_concrete
+                known = tables.get(node.name)
+                if known is not None and known != node.schema \
+                        and conflict is None:
+                    conflict = (f"table {node.name!r} used at two schemas: "
+                                f"{known} vs {node.schema}")
+                tables[node.name] = node.schema
+        facts = (meta, tables, conflict)
+        object.__setattr__(query, "_hc_dfacts", facts)
+    return facts
+
+
 def free_tables(query: ast.Query) -> Dict[str, Schema]:
-    """All base tables of a query, name → schema (conflicts are errors)."""
-    out: Dict[str, Schema] = {}
-    for node in iter_ast(query):
-        if isinstance(node, ast.Table):
-            known = out.get(node.name)
-            if known is not None and known != node.schema:
-                raise ValueError(
-                    f"table {node.name!r} used at two schemas: "
-                    f"{known} vs {node.schema}")
-            out[node.name] = node.schema
-    return out
+    """All base tables of a query, name → schema (conflicts are errors).
+
+    Returns a fresh dict on every call.
+    """
+    _, tables, conflict = _query_facts(query)
+    if conflict is not None:
+        raise ValueError(conflict)
+    return dict(tables)
 
 
 def has_metavariables(query: ast.Query) -> bool:
@@ -142,12 +168,7 @@ def has_metavariables(query: ast.Query) -> bool:
     enumerated directly and need an instantiator (see
     :func:`disprove_rule`).
     """
-    for node in iter_ast(query):
-        if isinstance(node, (ast.PredVar, ast.ExprVar, ast.PVar)):
-            return True
-        if isinstance(node, ast.Table) and not node.schema.is_concrete:
-            return True
-    return False
+    return _query_facts(query)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +324,7 @@ def disprove(q1: ast.Query, q2: ast.Query,
     started = time.perf_counter()
     counter("disprover.searches_total").inc()
     if tables is None:
-        tables = dict(free_tables(q1))
+        tables = free_tables(q1)
         for name, schema in free_tables(q2).items():
             known = tables.get(name)
             if known is not None and known != schema:

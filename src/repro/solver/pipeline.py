@@ -484,7 +484,7 @@ class Pipeline:
                 or has_metavariables(q2):
             return None  # nothing concrete to enumerate
         try:
-            tables = dict(free_tables(q1))
+            tables = free_tables(q1)
             for name, schema in free_tables(q2).items():
                 if tables.get(name, schema) != schema:
                     # The two queries read the same table at different

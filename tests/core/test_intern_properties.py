@@ -17,11 +17,17 @@ The interning invariants the kernel promises:
   its factors sorted by the interned order key, however they were
   passed;
 * **pickling re-interns** — a pickle round-trip lands on the canonical
-  node;
+  node, as do keyword construction and ``dataclasses.replace``;
+* **generated constructor** — every interned class hashes by identity
+  and has no second ``__init__``; wrong-arity calls raise the dataclass
+  error, unhashable payloads stay un-canonical, ``repr`` is the
+  dataclass text, and the decorator refuses classes whose fields the
+  constructor would set wrongly;
 * **thread safety** — concurrent construction of one term yields one
   canonical node.
 """
 
+import dataclasses
 import pickle
 import random
 import threading
@@ -477,6 +483,46 @@ def test_concurrent_construction_single_node():
     assert all(a is b for a in results for b in results if a == b)
 
 
+def test_concurrent_construction_stress():
+    """More threads than cores, switching every microsecond, build the
+    same fresh terms: each structure gets one canonical node, and the
+    exact miss counter matches the nodes the tables gained."""
+    import sys
+
+    n_threads, rounds = 8, 1000
+    results = [[] for _ in range(n_threads)]
+    barrier = threading.Barrier(n_threads)
+
+    def build(slot):
+        for i in range(rounds):
+            barrier.wait()  # every thread races on the same fresh terms
+            v = TVar(f"stress{i}", Node(Leaf(INT), Leaf(INT)))
+            results[slot].append(URel("Stress", TPair(TFst(v), v)))
+
+    before = intern_stats()
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(slot,))
+                   for slot in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    after = intern_stats()
+    first = results[0]
+    assert len(first) == rounds
+    for other in results[1:]:
+        assert len(other) == rounds
+        assert all(a is b for a, b in zip(first, other))
+    assert all("_hc_ready" in node.__dict__ for node in first)
+    assert (after["intern_misses"] - before["intern_misses"]
+            == after["interned_nodes"] - before["interned_nodes"])
+
+
 def test_intern_stats_shape():
     stats = intern_stats()
     assert set(stats) == {"intern_hits", "intern_misses", "interned_nodes"}
@@ -526,3 +572,154 @@ def test_kernel_lru_reset_cannot_under_report_hits():
     # The window counters, by contrast, were zeroed mid-run — which is
     # exactly why delta consumers must difference the lifetime counters.
     assert after["hits"] <= delta
+
+
+# ---------------------------------------------------------------------------
+# The generated constructor: identity hash, every construction route
+# ---------------------------------------------------------------------------
+
+def test_every_interned_class_hashes_by_identity():
+    from repro.core.intern import _CLASSES
+    assert _CLASSES
+    for cls in _CLASSES:
+        assert cls.__hash__ is object.__hash__, cls
+        assert cls.__init__ is object.__init__, cls
+
+
+def _routes(node):
+    """The node rebuilt positionally, by keyword, through
+    ``dataclasses.replace`` and through a pickle round-trip."""
+    values = [getattr(node, f.name) for f in dataclasses.fields(node)]
+    kwargs = {f.name: v for f, v in zip(dataclasses.fields(node), values)}
+    cls = type(node)
+    return [cls(*values), cls(**kwargs),
+            cls(*values[:1], **dict(list(kwargs.items())[1:])),
+            dataclasses.replace(node),
+            pickle.loads(pickle.dumps(node))]
+
+
+def _subterms(node):
+    yield node
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        for item in value if type(value) is tuple else (value,):
+            if dataclasses.is_dataclass(item) and \
+                    not isinstance(item, type):
+                yield from _subterms(item)
+
+
+@pytest.mark.parametrize("seed", range(0, N_SAMPLES, 3))
+def test_every_construction_route_returns_the_node(seed):
+    u = Gen(seed).uterm()
+    n = normalize(u)
+    for root in (u, n):
+        for node in _subterms(root):
+            for built in _routes(node):
+                assert built is node, (type(node).__name__, built)
+
+
+def test_wrong_arity_raises_the_dataclass_error():
+    with pytest.raises(TypeError, match=r"TVar.__init__\(\) missing 1 "
+                       r"required positional argument: 'var_schema'"):
+        TVar("x")
+    with pytest.raises(TypeError, match=r"takes 3 positional arguments "
+                       r"but 4 were given"):
+        TVar("x", INT, INT)
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        TVar("x", var_schema=Leaf(INT), nme="y")
+    with pytest.raises(TypeError, match="missing 2 required"):
+        NProduct()
+
+
+def test_unhashable_payload_stays_uncanonical():
+    from repro.core.intern import KernelLRU
+
+    const = TConst([1], INT)
+    twin = TConst([1], INT)
+    assert const is not twin and const == twin
+    assert "_hc_ready" not in const.__dict__
+    assert hash(const) == object.__hash__(const)
+    # A parent of an un-canonical child stays un-canonical too.
+    pair = TPair(const, TVar("x", Leaf(INT)))
+    assert "_hc_ready" not in pair.__dict__
+    assert pair == TPair(twin, TVar("x", Leaf(INT)))
+    lru = KernelLRU(4, "test-unhashable-payload")
+    assert lru.get(const) is None
+    lru.put(const, "stored")
+    assert lru.get(const) == "stored"
+    assert lru.get(twin) is None  # a key only its own object hits
+
+
+def test_fields_set_in_dataclass_order_then_marker():
+    node = TApp("f-order", (TVar("x", Leaf(INT)),), Leaf(INT))
+    assert list(node.__dict__)[:4] == ["fn", "args", "result_schema",
+                                       "_hc_ready"]
+
+
+def _reference_repr(value):
+    """``repr`` as the dataclass-generated ``__repr__`` spells it."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        inner = ", ".join(f"{f.name}={_reference_repr(getattr(value, f.name))}"
+                          for f in dataclasses.fields(value) if f.repr)
+        return f"{type(value).__qualname__}({inner})"
+    if type(value) is tuple:
+        items = [_reference_repr(v) for v in value]
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    return repr(value)
+
+
+def test_repr_matches_the_dataclass_text_on_verify_queries():
+    from perfbench import gen
+    from repro.session import Session
+
+    session = Session.from_tables(*gen.TABLES)
+    for pair in gen.verify_pairs(1, 640):
+        for sql in (pair.sql1, pair.sql2):
+            handle = session.sql(sql)
+            assert repr(handle.query) == _reference_repr(handle.query)
+            nsum = handle.normalized.nsum
+            assert repr(nsum) == _reference_repr(nsum)
+
+
+@pytest.mark.parametrize("sql, digest", [
+    ("SELECT DISTINCT a FROM R",
+     "a5a15ca07edf58433cb3a760e7e195cbf56a7a47084df1500266765f09d89f7c"),
+    ("SELECT x.a, SUM(y.b) AS s FROM R AS x, S AS y "
+     "WHERE x.a = y.a AND y.b > 3 GROUP BY x.a",
+     "2f5d35e24a650b8d7ff1c709edab7097e7b62f57b01ec748a5dfa20766a004b0"),
+    ("SELECT a FROM R WHERE EXISTS (SELECT * FROM S WHERE S.b = R.b) "
+     "UNION ALL SELECT b FROM S EXCEPT SELECT a FROM R",
+     "6f04c11da7a47aa459002149a428898513461f52f1a61f25d5da0e2c43a93cbd"),
+])
+def test_query_side_digest_is_pinned(sql, digest):
+    """Stored aliases are keyed by these digests of ``repr(query)``."""
+    from repro.solver.cache import query_side_digest
+    from repro.sql import Catalog, compile_sql
+
+    catalog = Catalog()
+    catalog.add_table("R", [("a", INT), ("b", INT)])
+    catalog.add_table("S", [("a", INT), ("b", INT)])
+    assert query_side_digest(compile_sql(sql, catalog).query) == digest
+
+
+@pytest.mark.parametrize("declare", [
+    "post_init", "default", "default_factory", "init_false", "kw_only"])
+def test_decorator_refuses_what_the_constructor_would_skip(declare):
+    from repro.core.intern import _CLASSES, interned
+
+    namespace = {"__annotations__": {"x": int}}
+    if declare == "post_init":
+        namespace["__post_init__"] = lambda self: None
+    elif declare == "default":
+        namespace["x"] = 0
+    elif declare == "default_factory":
+        namespace["x"] = dataclasses.field(default_factory=int)
+    elif declare == "init_false":
+        namespace["x"] = dataclasses.field(default=0, init=False)
+    else:
+        namespace["x"] = dataclasses.field(kw_only=True)
+    cls = dataclasses.dataclass(frozen=True)(
+        type(f"Throwaway_{declare}", (), namespace))
+    with pytest.raises(TypeError, match="@interned class Throwaway"):
+        interned(cls)
+    assert cls not in _CLASSES

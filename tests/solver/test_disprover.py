@@ -98,6 +98,46 @@ class TestQueryAnalysis:
         q = ast.Select(ast.E2P(expr, INT), ast.Table("R", SCHEMA))
         assert has_metavariables(q)
 
+    def test_free_tables_returns_a_fresh_dict(self, catalog):
+        q = compile_sql("SELECT a FROM S", catalog).query
+        first = free_tables(q)
+        first["Z"] = SCHEMA
+        assert set(free_tables(q)) == {"S"}
+
+    def test_schema_conflict_raises_on_every_call(self):
+        q = ast.Product(ast.Table("Clash", SCHEMA),
+                        ast.Table("Clash", Leaf(INT)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="used at two schemas"):
+                free_tables(q)
+        assert not has_metavariables(q)
+
+    def test_query_walked_once_across_pairs(self, monkeypatch):
+        """A query checked in two pairs that both reach the disprover is
+        walked once for its metavariables and tables."""
+        from repro.analysis import infer
+        from repro.solver import Pipeline, disprover as disprover_module
+
+        # Tables no other test reads, so no query node is walked already.
+        cat = Catalog()
+        cat.add_table("Walked", [("a", INT), ("b", INT)])
+        q1, q2, q3 = (compile_sql(sql, cat).query for sql in (
+            "SELECT a FROM Walked", "SELECT b FROM Walked",
+            "SELECT a + b AS a FROM Walked"))
+        roots = []
+
+        def counting_iter_ast(node):
+            roots.append(node)
+            return infer.iter_ast(node)
+
+        monkeypatch.setattr(disprover_module, "iter_ast", counting_iter_ast)
+        pipeline = Pipeline()
+        for other in (q2, q3):
+            verdict = pipeline.check(q1, other)
+            assert verdict.stage == "disprover"
+        assert sum(root is q1 for root in roots) == 1
+        assert len(roots) == 3
+
 
 class TestDisprove:
     def test_finds_projection_counterexample(self, catalog):
