@@ -5,19 +5,11 @@ Not a paper figure per se, but the paper's motivation (Sec. 1) is that
 optimizers need verified rules; this benchmark shows the full pipeline —
 parse named SQL, plan with certified rewrites, prove the chosen plan
 equivalent, and execute both plans to identical results.
-
-It also carries the **saturation-vs-BFS** comparison the equality-
-saturation PR is judged on: at an equal node budget, the e-graph planner
-must represent at least 2× the distinct plans BFS enumerates (in
-aggregate over the corpus), extract equal-or-cheaper plans on every
-workload, and re-certify every extracted plan through the verification
-pipeline with zero failures.  ``run_all.py`` runs the same comparison via
-:func:`saturation_vs_bfs` and records it in ``BENCH_pr6.json``.
 """
 
 from repro.core.schema import INT
 from repro.engine import Database, run_query
-from repro.optimizer import PLAN_COUNT_LIMIT, TableStats, optimize, plan_cost
+from repro.optimizer import TableStats, optimize, plan_cost
 from repro.semiring import NAT
 from repro.sql import Catalog, compile_sql
 
@@ -75,107 +67,3 @@ def test_optimizer_plan_cost_monotonicity(benchmark):
     assert plan_cost(result.best_plan, stats) <= \
         plan_cost(resolved.query, stats)
 
-
-# ---------------------------------------------------------------------------
-# Saturation vs BFS at equal node budget
-# ---------------------------------------------------------------------------
-
-#: Equal exploration budget: BFS plan cap == saturation e-node budget.
-EQUAL_BUDGET = 120
-
-#: Workload corpus: every transformation family, shallow and deep chains.
-SVB_CORPUS = (
-    ("sec513", "SELECT e.eid FROM Emp e, Dept d "
-               "WHERE e.did = d.did AND d.budget > 100 AND e.age < 30"),
-    ("dup-conj", "SELECT eid FROM Emp WHERE eid = 1 AND eid = 1"),
-    ("union-push", "SELECT u.eid FROM (SELECT eid FROM Emp UNION ALL "
-                   "SELECT eid FROM Emp) AS u WHERE u.eid = 1"),
-    ("selfjoin", "SELECT a.eid FROM Emp a, Emp b "
-                 "WHERE a.did = b.did AND a.age < 30 AND b.age < 25"),
-    ("deep-chain", "SELECT e.eid FROM Emp e, Dept d WHERE e.did = d.did "
-                   "AND d.budget > 100 AND e.age < 30 AND e.eid > 2 "
-                   "AND e.eid > 2"),
-)
-
-
-def _svb_catalog():
-    cat = Catalog()
-    cat.add_table("Emp", [("eid", INT), ("did", INT), ("age", INT)])
-    cat.add_table("Dept", [("did", INT), ("budget", INT)])
-    return cat
-
-
-def saturation_vs_bfs(budget: int = EQUAL_BUDGET):
-    """Run the corpus under both strategies at an equal node budget.
-
-    Returns per-workload rows plus aggregate ratios; every plan is
-    re-certified through the verification pipeline (``certify=True``),
-    and a certification failure shows up as ``certified=False`` in the
-    row.  Used by the pytest benchmark below and by ``run_all.py``.
-    """
-    cat = _svb_catalog()
-    stats = TableStats({"Emp": 1000.0, "Dept": 20.0})
-    rows = []
-    for name, sql in SVB_CORPUS:
-        query = compile_sql(sql, cat).query
-        bfs = optimize(query, stats, max_plans=budget, strategy="bfs")
-        sat = optimize(query, stats, max_plans=budget,
-                       strategy="saturation")
-        rows.append({
-            "workload": name,
-            "bfs_plans": bfs.plans_explored,
-            "bfs_cost": bfs.best_cost,
-            "bfs_certified": bfs.certified,
-            "sat_plans": sat.plans_explored,
-            "sat_cost": sat.best_cost,
-            "sat_certified": sat.certified,
-            "sat_saturated": sat.saturated,
-            "sat_chain": list(sat.applied_rules),
-        })
-    total_bfs = sum(r["bfs_plans"] for r in rows)
-    total_sat = sum(r["sat_plans"] for r in rows)
-    return {
-        "budget": budget,
-        "rows": rows,
-        "total_bfs_plans": total_bfs,
-        "total_sat_plans": total_sat,
-        "plan_ratio": total_sat / total_bfs if total_bfs else float("inf"),
-        "all_equal_or_cheaper": all(
-            r["sat_cost"] <= r["bfs_cost"] + 1e-6 for r in rows),
-        "certification_failures": sum(
-            (not r["sat_certified"]) + (not r["bfs_certified"])
-            for r in rows),
-    }
-
-
-def test_saturation_vs_bfs_report(report, benchmark):
-    comparison = benchmark(lambda: saturation_vs_bfs())
-
-    report.add(f"Equality saturation vs BFS at equal node budget "
-               f"({comparison['budget']})")
-    report.add("=" * 72)
-    report.add(f"{'workload':<12}{'BFS plans':>10}{'sat plans':>12}"
-               f"{'BFS cost':>12}{'sat cost':>12}  certified")
-    for r in comparison["rows"]:
-        sat_plans = (f"≥{r['sat_plans']}"
-                     if r["sat_plans"] >= PLAN_COUNT_LIMIT
-                     else str(r["sat_plans"]))
-        report.add(f"{r['workload']:<12}{r['bfs_plans']:>10}"
-                   f"{sat_plans:>12}{r['bfs_cost']:>12.1f}"
-                   f"{r['sat_cost']:>12.1f}  "
-                   f"{'both' if r['sat_certified'] and r['bfs_certified'] else 'FAIL'}")
-    report.add()
-    report.add(f"distinct plans, corpus total : "
-               f"{comparison['total_sat_plans']} vs "
-               f"{comparison['total_bfs_plans']} "
-               f"({comparison['plan_ratio']:.1f}x)")
-    report.add(f"equal-or-cheaper everywhere  : "
-               f"{comparison['all_equal_or_cheaper']}")
-    report.add(f"certification failures       : "
-               f"{comparison['certification_failures']}")
-    report.emit("optimizer_saturation_vs_bfs")
-
-    # The PR's acceptance criteria.
-    assert comparison["plan_ratio"] >= 2.0
-    assert comparison["all_equal_or_cheaper"]
-    assert comparison["certification_failures"] == 0

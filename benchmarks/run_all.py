@@ -8,10 +8,7 @@ Two layers:
   all-pairs session workload), measured from cold kernel caches and
   compared against the pre-kernel baseline recorded in
   :data:`PRE_KERNEL_BASELINE` (the interned-kernel PR targets ≥3× on
-  both), plus the optimizer's saturation-vs-BFS comparison at equal
-  node budget (the equality-saturation PR requires ≥2× distinct plans,
-  equal-or-cheaper extracted plans, and zero certification failures),
-  plus the serve-layer throughput workload (the serving PR requires
+  both), plus the serve-layer throughput workload (the serving PR requires
   warm verdicts/sec ≥ 10× cold, exactly one pipeline run for two
   concurrent identical cold checks, and a restarted daemon serving the
   whole corpus from its shard store).
@@ -36,9 +33,9 @@ Usage::
 Speedups are reported against **two** baselines: the pre-kernel seed
 (:data:`PRE_KERNEL_BASELINE`, the original ≥3× gates) and the previous
 PR's recordings (:data:`PR7_BASELINE`, from ``BENCH_pr7.json`` on the
-same container) — the kernel gates are ≥5× over the latter on
-``prover_scaling`` and ``optimizer_saturation_vs_bfs``.  Timed tracked
-workloads take the best of three passes in full mode, the same protocol
+same container) — the kernel gate is ≥5× over the latter on
+``prover_scaling``.  Timed tracked workloads take the best of three
+passes in full mode, the same protocol
 the seed baseline was recorded under (cold kernel first pass, process
 warm afterwards — so the best pass measures the steady state a session
 or daemon actually runs in).
@@ -80,7 +77,6 @@ SPEEDUP_TARGET = 3.0
 PR7_BASELINE = {
     "prover_scaling": 0.040267,
     "session_all_pairs": 0.062651,
-    "optimizer_saturation_vs_bfs": 0.094489,
     "serve": 0.132433,
 }
 
@@ -89,7 +85,7 @@ PR7_BASELINE = {
 #: arena-compiled kernel first set it; the one interned-object kernel
 #: that replaced it holds the same targets.
 KERNEL_SPEEDUP_TARGET = 5.0
-KERNEL_GATED = ("prover_scaling", "optimizer_saturation_vs_bfs")
+KERNEL_GATED = ("prover_scaling",)
 
 
 # ---------------------------------------------------------------------------
@@ -194,59 +190,7 @@ def run_session_all_pairs(smoke):
 
 
 # ---------------------------------------------------------------------------
-# Tracked workload C: optimizer equality saturation vs BFS
-# ---------------------------------------------------------------------------
-
-#: The equality-saturation PR's gates, checked in both modes (the
-#: workload is deterministic and takes ~1 s).
-SATURATION_PLAN_RATIO_TARGET = 2.0
-
-
-def run_saturation_vs_bfs(smoke=False):
-    import bench_optimizer
-
-    # Best of three passes, matching the prover-scaling protocol: the
-    # first pass pays the cold e-graph search, later passes measure the
-    # warm steady state (plan cache + rewrite memos) a resident session
-    # runs in.  The comparison payload is identical across passes — the
-    # search is deterministic — so the last one is recorded.
-    pass_walls = []
-    for _ in range(1 if smoke else 3):
-        started = time.perf_counter()
-        comparison = bench_optimizer.saturation_vs_bfs()
-        pass_walls.append(time.perf_counter() - started)
-    comparison["wall_seconds"] = min(pass_walls)
-    comparison["pass_seconds"] = pass_walls
-    return comparison
-
-
-def check_saturation_vs_bfs(comparison):
-    failures = []
-    if comparison["plan_ratio"] < SATURATION_PLAN_RATIO_TARGET:
-        failures.append(
-            f"optimizer_saturation_vs_bfs: plan ratio "
-            f"{comparison['plan_ratio']:.2f}x below the "
-            f"{SATURATION_PLAN_RATIO_TARGET:.0f}x target")
-    if not comparison["all_equal_or_cheaper"]:
-        failures.append("optimizer_saturation_vs_bfs: saturation chose a "
-                        "costlier plan than BFS on some workload")
-    if comparison["certification_failures"]:
-        failures.append(
-            f"optimizer_saturation_vs_bfs: "
-            f"{comparison['certification_failures']} certification "
-            f"failure(s)")
-    print(f"  {'saturation_vs_bfs':<22} "
-          f"{comparison['wall_seconds'] * 1e3:9.1f} ms   "
-          f"plans {comparison['total_sat_plans']} vs "
-          f"{comparison['total_bfs_plans']} "
-          f"({comparison['plan_ratio']:.1f}x), "
-          f"{comparison['certification_failures']} certification "
-          f"failure(s)")
-    return failures
-
-
-# ---------------------------------------------------------------------------
-# Tracked workload D: tracing overhead on the instrumented pipeline
+# Tracked workload C: tracing overhead on the instrumented pipeline
 # ---------------------------------------------------------------------------
 
 #: Enabling the tracer may cost at most this much wall clock on the
@@ -304,7 +248,7 @@ def check_tracing_overhead(result, smoke):
 
 
 # ---------------------------------------------------------------------------
-# Tracked workload E: serve-layer throughput (cold vs warm, dedup)
+# Tracked workload D: serve-layer throughput (cold vs warm, dedup)
 # ---------------------------------------------------------------------------
 
 def run_serve(smoke):
@@ -327,7 +271,7 @@ def check_serve(result, smoke):
 
 
 # ---------------------------------------------------------------------------
-# Tracked workload F: static-analysis tier (disprover pruning + guards)
+# Tracked workload E: static-analysis tier (disprover pruning + guards)
 # ---------------------------------------------------------------------------
 
 def run_analysis(smoke):
@@ -350,7 +294,7 @@ def check_analysis(result, smoke):
 
 
 # ---------------------------------------------------------------------------
-# Tracked workload G: compiled bounded disprover
+# Tracked workload F: compiled bounded disprover
 # ---------------------------------------------------------------------------
 
 def run_disprover(smoke):
@@ -439,8 +383,6 @@ def main(argv=None):
     tracked = {
         "prover_scaling": with_metrics(run_prover_scaling, args.smoke),
         "session_all_pairs": with_metrics(run_session_all_pairs, args.smoke),
-        "optimizer_saturation_vs_bfs": with_metrics(run_saturation_vs_bfs,
-                                                    args.smoke),
         "tracing_overhead": with_metrics(run_tracing_overhead, args.smoke),
         "serve": with_metrics(run_serve, args.smoke),
         "analysis": with_metrics(run_analysis, args.smoke),
@@ -450,8 +392,6 @@ def main(argv=None):
     failures = []
     speedups = {}
     speedups_pr7 = {}
-    failures.extend(check_saturation_vs_bfs(
-        tracked["optimizer_saturation_vs_bfs"]))
     failures.extend(check_tracing_overhead(
         tracked["tracing_overhead"], args.smoke))
     failures.extend(check_serve(tracked["serve"], args.smoke))

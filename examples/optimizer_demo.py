@@ -6,8 +6,7 @@ library's equality-saturation planner, whose transformations are
 instances of the verified rule set, on a star-join workload:
 
 1. parse a named SQL query,
-2. saturate the rewrite space in an e-graph and extract by cost
-   (then run the Volcano-style BFS fallback for comparison),
+2. saturate the rewrite space in an e-graph and extract by cost,
 3. *certify* the chosen plan against the original with the prover,
 4. execute both plans and compare results and operator cardinalities.
 
@@ -17,7 +16,6 @@ Run:  python examples/optimizer_demo.py
 from repro import Catalog, Database, INT, compile_sql
 from repro.engine import run_query
 from repro.optimizer import TableStats, explain, optimize, plan_cost
-from repro.sql.pretty import query_to_str
 
 QUERY = """
 SELECT e.eid, e.sal
@@ -65,11 +63,6 @@ def main() -> None:
     print(f"  certificate   : "
           f"{'prover VERIFIED equivalence' if result.certified else 'FAILED'}")
     assert result.certified
-
-    bfs = optimize(resolved.query, stats, max_plans=400, strategy="bfs")
-    print(f"  BFS fallback  : cost {bfs.best_cost:.1f} after enumerating "
-          f"{bfs.plans_explored} plans (certified: {bfs.certified})")
-    assert bfs.certified and result.best_cost <= bfs.best_cost
 
     interp = db.interpretation()
     before = run_query(resolved.query, interp)

@@ -11,9 +11,9 @@ Usage (``python -m repro <command>``):
 * ``disprove RULE | SQL1 SQL2`` — bounded-exhaustive counterexample
   search only,
 * ``optimize --table 'R(a:int,b:int)' SQL`` — certified plan search
-  (equality saturation by default, ``--strategy bfs`` for the Volcano
-  fallback): prints the winning rewrite chain, the cost tree, and the
-  prover certificate,
+  (equality saturation under ``--max-plans`` e-nodes and
+  ``--iterations`` rounds): prints the winning rewrite chain, the cost
+  tree, and the prover certificate,
 * ``explain --table 'R(a:int,b:int)' SQL`` — the EXPLAIN cost tree of a
   query as written (no rewriting),
 * ``prove RULE`` — run one library rule through the pipeline (by name),
@@ -52,7 +52,7 @@ from .errors import ReproError
 from .obs.logs import configure_logging
 from .obs.metrics import REGISTRY
 from .obs.trace import trace_to_file
-from .optimizer import STRATEGIES, TableStats
+from .optimizer import TableStats
 from .rules import (
     CATEGORY_ORDER,
     all_buggy_rules,
@@ -242,18 +242,15 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.max_plans < 1:
         raise CLIError(f"--max-plans must be at least 1, got "
                        f"{args.max_plans}")
-    for knob in ("iterations", "node_budget"):
-        value = getattr(args, knob)
-        if value is not None and value < 1:
-            raise CLIError(f"--{knob.replace('_', '-')} must be at least 1, "
-                           f"got {value}")
+    if args.iterations is not None and args.iterations < 1:
+        raise CLIError(f"--iterations must be at least 1, got "
+                       f"{args.iterations}")
     with _session_from_args(args) as session:
         handle = _handle(session, args.sql)
         try:
             plan = handle.optimize(
-                _stats_from_args(args), strategy=args.strategy,
-                max_plans=args.max_plans, iterations=args.iterations,
-                node_budget=args.node_budget, certify=not args.no_certify)
+                _stats_from_args(args), max_plans=args.max_plans,
+                iterations=args.iterations, certify=not args.no_certify)
         except ReproError as exc:
             raise CLIError(str(exc)) from exc
         print(plan.explain())
@@ -649,23 +646,13 @@ def build_parser() -> argparse.ArgumentParser:
     optimize_p.add_argument("--table", action="append", metavar="SPEC",
                             help="table declaration, e.g. 'R(a:int,b:int)' "
                                  "(repeatable)")
-    optimize_p.add_argument("--strategy", choices=STRATEGIES,
-                            default="saturation",
-                            help="plan search strategy (default: "
-                                 "saturation; bfs is the Volcano fallback)")
     optimize_p.add_argument("--max-plans", type=int, default=400,
                             metavar="N",
-                            help="exploration budget: BFS plan cap and "
-                                 "default saturation e-node budget "
-                                 "(default 400)")
+                            help="saturation e-node budget (default 400)")
     optimize_p.add_argument("--iterations", type=int, default=None,
                             metavar="N",
                             help="saturation iteration budget (rewrite "
                                  "depth; default 12)")
-    optimize_p.add_argument("--node-budget", type=int, default=None,
-                            metavar="N",
-                            help="saturation e-node budget (default: "
-                                 "--max-plans)")
     optimize_p.add_argument("--rows", action="append", metavar="TABLE=N",
                             help="base-table cardinality for the cost "
                                  "model (repeatable; default 100)")

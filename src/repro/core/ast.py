@@ -27,7 +27,7 @@ term→e-class memo on these canonical identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple as PyTuple
+from typing import Iterable, Tuple as PyTuple
 
 from .intern import interned
 from .schema import SQLType, Schema
@@ -397,6 +397,11 @@ def path(*steps: Projection) -> Projection:
     for step in steps[1:]:
         result = Compose(result, step)
     return result
+
+
+def steps_to_proj(steps: Iterable[str]) -> Projection:
+    """The path projection for L/R steps: ``("R", "L")`` = Right.Left."""
+    return path(*[LEFT if s == "L" else RIGHT for s in steps])
 
 
 def proj_tuple(*projs: Projection) -> Projection:

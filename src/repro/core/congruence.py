@@ -59,12 +59,15 @@ class CongruenceClosure:
     def find(self, term: Term) -> Term:
         """Current class representative of ``term`` (registers it if new)."""
         self.ensure(term)
+        # Every key and parent is a canonical interned node, so identity
+        # is equality, and ``is not`` skips a Python-level ``__eq__``
+        # call per step.
         root = term
-        while self._parent[root] != root:
+        while self._parent[root] is not root:
             root = self._parent[root]
         # Path compression.
         node = term
-        while self._parent[node] != node:
+        while self._parent[node] is not node:
             self._parent[node], node = root, self._parent[node]
         return root
 

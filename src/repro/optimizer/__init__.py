@@ -1,5 +1,6 @@
-"""Certified query optimizer: e-graph, saturation, rewriter, cost, planner."""
+"""Certified query optimizer: e-graph, saturation, extraction, cost, planner."""
 
+from ..core.ast import steps_to_proj
 from .cost import Estimate, TableStats, compose, estimate, plan_cost, plan_size
 from .egraph import EGraph, ENode
 from .explain import explain, explain_result
@@ -10,17 +11,12 @@ from .extract import (
     extract_best,
     rule_chain,
 )
-from .planner import PLAN_COUNT_LIMIT, PlanningResult, STRATEGIES, optimize
+from .planner import PLAN_COUNT_LIMIT, PlanningResult, optimize
 from .rewriter import (
-    CertifiedCandidate,
-    TRANSFORMATIONS,
-    certified_rewrites,
     flatten_conjuncts,
     predicate_paths,
     proj_steps,
     rewrite_predicate_paths,
-    rewrites,
-    steps_to_proj,
 )
 from .saturate import (
     ERULES,
@@ -32,20 +28,17 @@ from .saturate import (
 
 __all__ = [
     "Candidate",
-    "CertifiedCandidate",
     "EGraph",
     "ENode",
     "ERULES",
     "ERule",
     "Estimate",
     "ExtractionResult",
+    "PLAN_COUNT_LIMIT",
     "PlanningResult",
-    "STRATEGIES",
     "SaturationBudget",
     "SaturationStats",
-    "TRANSFORMATIONS",
     "TableStats",
-    "certified_rewrites",
     "compose",
     "count_plans",
     "estimate",
@@ -59,7 +52,6 @@ __all__ = [
     "predicate_paths",
     "proj_steps",
     "rewrite_predicate_paths",
-    "rewrites",
     "rule_chain",
     "saturate",
     "steps_to_proj",

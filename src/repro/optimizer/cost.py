@@ -132,8 +132,8 @@ def plan_size(node: object, _seen_types=(ast.Query, ast.Predicate,
                                          ast.Expression, ast.Projection)
               ) -> int:
     """Node count of a plan tree (queries, predicates, expressions,
-    projections) — the tie-break among equal-cost plans, for both the
-    BFS planner and the e-graph extractor.
+    projections) — the e-graph extractor's tie-break among equal-cost
+    plans.
 
     Stash-memoized per node: plans are interned immutable trees, and the
     extractor sizes the same subplans across every e-class they appear

@@ -1,10 +1,11 @@
 """An e-graph over the interned HoTTSQL query AST.
 
-The BFS planner re-derives structurally equal plans over and over and
-forgets the equalities it discovers; an e-graph (the data structure behind
-egg-style equality saturation, and the same congruence-closure machinery
-:mod:`repro.core.congruence` uses on denotations) stores *every* plan
-reachable by the certified rewrites at once:
+A term-at-a-time planner re-derives structurally equal plans over and
+over and forgets the equalities it discovers; an e-graph (the data
+structure behind egg-style equality saturation, and the same
+congruence-closure machinery :mod:`repro.core.congruence` uses on
+denotations) stores *every* plan reachable by the certified rewrites at
+once:
 
 * an **e-class** is a set of e-nodes proved equal (by a rewrite, or by
   congruence);

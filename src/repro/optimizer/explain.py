@@ -45,17 +45,13 @@ def explain_result(result, stats: TableStats) -> str:
         else "(none — original plan kept)"
     certified = {True: "VERIFIED", False: "FAILED",
                  None: "skipped"}[result.certified]
-    if result.strategy == "saturation":
-        sat = result.saturation
-        clamped = result.plans_explored >= PLAN_COUNT_LIMIT
-        explored = (f"{'≥' if clamped else ''}{result.plans_explored}"
-                    f" distinct plans in {sat.nodes} e-nodes / "
-                    f"{sat.classes} e-classes"
-                    f"{' (saturated)' if sat.saturated else ''}")
-    else:
-        explored = f"{result.plans_explored} plans enumerated"
+    sat = result.saturation
+    clamped = result.plans_explored >= PLAN_COUNT_LIMIT
+    explored = (f"{'≥' if clamped else ''}{result.plans_explored}"
+                f" distinct plans in {sat.nodes} e-nodes / "
+                f"{sat.classes} e-classes"
+                f"{' (saturated)' if sat.saturated else ''}")
     lines = [
-        f"strategy           : {result.strategy}",
         f"plans explored     : {explored}",
         f"rewrite chain      : {chain}",
         f"original plan cost : {result.original_cost:.1f}",

@@ -12,8 +12,8 @@ their costs (a smaller-but-pricier input can make the parent cheaper —
 e.g. a tighter filter below a product), so each e-class keeps a small
 frontier of candidates undominated in ``(cost, cardinality, size)``
 rather than a single winner.  ``size`` is the syntactic node count
-(:func:`repro.optimizer.cost.plan_size`), the same tie-break the BFS
-planner uses so a simplification the cost model is blind to still wins.
+(:func:`repro.optimizer.cost.plan_size`), the tie-break among equal-cost
+plans, so a simplification the cost model is blind to still wins.
 
 The frontier table is iterated to a fixpoint, which handles the cyclic
 e-classes equality saturation creates routinely (``σ_b ∘ σ_b`` loops):
@@ -24,8 +24,8 @@ rebuilding the winning tree always terminates.
 The module also reconstructs the **winning rule chain** from the
 e-graph's provenance records (each rewrite-created e-node remembers the
 rule and source node that produced it) and counts the **distinct plans**
-an e-graph represents — the honest "plans explored" figure the
-benchmarks compare against BFS.
+an e-graph represents — the honest "plans explored" figure the planner
+reports.
 """
 
 from __future__ import annotations

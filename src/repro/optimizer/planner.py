@@ -1,33 +1,28 @@
 """Cost-based plan search over certified rewrites.
 
-One ``optimize()`` front door, two search strategies:
+``optimize()`` runs equality saturation: insert the plan into an e-graph
+over the interned AST (:mod:`repro.optimizer.egraph`), run the certified
+rule suite at every e-class to fixpoint or budget
+(:mod:`repro.optimizer.saturate`), then extract the cheapest
+representable tree with the Pareto extractor
+(:mod:`repro.optimizer.extract`).  E-classes deduplicate the plan space,
+so deep rule chains (pushdown → dedup → pushdown …) stay reachable under
+a node budget that a term-at-a-time search of the Exodus/Volcano
+lineage (the one the paper reviews in Sec. 6.1) would spend on shallow
+variants.
 
-* ``strategy="saturation"`` (the default) — equality saturation: insert
-  the plan into an e-graph over the interned AST
-  (:mod:`repro.optimizer.egraph`), run the certified rule suite at every
-  e-class to fixpoint or budget (:mod:`repro.optimizer.saturate`), then
-  extract the cheapest representable tree with the Pareto extractor
-  (:mod:`repro.optimizer.extract`).  Because e-classes deduplicate the
-  plan space, saturation explores strictly more distinct plans than BFS
-  at equal node budget, and deep rule chains (pushdown → dedup →
-  pushdown …) that breadth-first search misses under its cap become
-  reachable.
-* ``strategy="bfs"`` — the historical Exodus/Volcano-style fallback (the
-  lineage the paper reviews in Sec. 6.1): breadth-first exploration of
-  the term rewrite space under a ``max_plans`` cap.
-
-Both strategies end the same way — the point of the whole exercise —
-with *certification* of the chosen plan against the original query
-through the verification pipeline.  Every transformation is an instance
-of a rule proved sound by the engine, so certification should never
-fail; it is belt-and-braces, and the test suite asserts it holds on a
-corpus of optimizer workloads for both strategies.
+The search ends — the point of the whole exercise — with
+*certification* of the chosen plan against the original query through
+the verification pipeline.  Every transformation is an instance of a
+rule proved sound by the engine, so certification should never fail; it
+is belt-and-braces, and the test suite asserts it holds on a corpus of
+optimizer workloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Tuple
 
 from ..analysis.infer import AnalysisContext
 from ..core import ast
@@ -37,14 +32,10 @@ from .cost import TableStats, plan_cost, plan_size
 from .eanalysis import guarded_rules
 from .egraph import EGraph
 from .extract import PLAN_COUNT_LIMIT, count_plans, extract_best
-from .rewriter import rewrites
 from .saturate import ERULES, SaturationBudget, SaturationStats, saturate
 
-#: Strategy names accepted by :func:`optimize`.
-STRATEGIES = ("saturation", "bfs")
-
 #: Process-wide plan cache (prepared-statement style): plan search is a
-#: pure function of (interned query, strategy, table statistics, budget),
+#: pure function of (interned query, table statistics, budgets),
 #: so re-optimizing the same query — a session replaying a prepared
 #: statement, or the benchmark harness timing warm passes — reuses the
 #: searched plan instead of re-saturating the e-graph.  Certification is
@@ -60,29 +51,21 @@ def _stats_fingerprint(stats: TableStats) -> tuple:
     return tuple(sorted(stats.cardinalities.items()))
 
 
-def _plan_size(node: object) -> int:
-    """Back-compat alias; the metric now lives in :mod:`.cost`."""
-    return plan_size(node)
-
-
 @dataclass
 class PlanningResult:
-    """Outcome of plan search (either strategy)."""
+    """Outcome of plan search."""
 
     original: ast.Query
     best_plan: ast.Query
     original_cost: float
     best_cost: float
-    #: distinct plans considered: enumerated plans for BFS; distinct
-    #: plans *representable in the e-graph* for saturation (clamped at
+    #: distinct plans *representable in the e-graph* (clamped at
     #: :data:`PLAN_COUNT_LIMIT` — cyclic e-classes are infinite).
     plans_explored: int
     applied_rules: Tuple[str, ...]
     certified: Optional[bool]
-    #: which search produced this result.
-    strategy: str = "bfs"
-    #: saturation-only diagnostics (None for BFS).
-    saturation: Optional[SaturationStats] = None
+    #: the saturation run's counters and stop reason.
+    saturation: SaturationStats
 
     @property
     def improved(self) -> bool:
@@ -90,15 +73,13 @@ class PlanningResult:
 
     @property
     def saturated(self) -> bool:
-        """True when the rule set reached fixpoint (saturation only)."""
-        return self.saturation is not None and self.saturation.saturated
+        """True when the rule set reached fixpoint."""
+        return self.saturation.saturated
 
 
 def optimize(query: ast.Query, stats: TableStats, max_plans: int = 400,
              certify: bool = True, pipeline=None, *,
-             strategy: str = "saturation",
              iterations: Optional[int] = None,
-             node_budget: Optional[int] = None,
              hypotheses: Hypotheses = NO_HYPOTHESES,
              analysis: Optional[AnalysisContext] = None) -> PlanningResult:
     """Search the rewrite space for the cheapest equivalent plan.
@@ -106,18 +87,15 @@ def optimize(query: ast.Query, stats: TableStats, max_plans: int = 400,
     Args:
         query: the initial (core HoTTSQL) plan.
         stats: base-table cardinalities for the cost model.
-        max_plans: exploration budget — BFS plan cap, and the default
-            e-node budget for saturation when ``node_budget`` is unset
-            (so the two strategies are comparable at equal budget).
+        max_plans: the saturation e-node budget: the total e-nodes the
+            search may admit.
         certify: when True, prove ``best ≡ original`` with the
             equivalence engine before returning.
         pipeline: the :class:`~repro.solver.pipeline.Pipeline` to certify
             through (a session passes its own, so the proof lands in the
             session's cache); defaults to the process-wide pipeline.
-        strategy: ``"saturation"`` (default) or ``"bfs"``.
         iterations: saturation iteration budget (rewrite depth);
             defaults to :class:`SaturationBudget`'s.
-        node_budget: saturation e-node budget; defaults to ``max_plans``.
         hypotheses: integrity-constraint hypotheses the plan may assume.
             They seed the static analysis (a keyed table is set-valued,
             licensing ``distinct_elim_under_key``) and are passed to the
@@ -131,27 +109,19 @@ def optimize(query: ast.Query, stats: TableStats, max_plans: int = 400,
     Returns:
         The chosen plan with costs, exploration counters, the chain of
         rule names that produced it (reconstructed from e-graph
-        provenance under saturation), and the certification verdict.
+        provenance), and the certification verdict.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r} "
-                         f"(expected one of {STRATEGIES})")
     ctx = analysis if analysis is not None \
         else AnalysisContext.from_hypotheses(hypotheses)
-    key = (query, strategy, _stats_fingerprint(stats), max_plans,
-           iterations, node_budget, ctx)
+    key = (query, _stats_fingerprint(stats), max_plans, iterations, ctx)
     cached = _PLAN_MEMO.get(key)
     if cached is not None:
         # Hand the caller a fresh instance: ``certified`` is mutable and
         # must not leak between callers with different ``certify`` flags.
         result = replace(cached)
-    elif strategy == "saturation":
-        result = _optimize_saturation(query, stats, max_plans=max_plans,
-                                      iterations=iterations,
-                                      node_budget=node_budget, ctx=ctx)
-        _PLAN_MEMO.put(key, replace(result))
     else:
-        result = _optimize_bfs(query, stats, max_plans=max_plans)
+        result = _optimize_saturation(query, stats, max_plans=max_plans,
+                                      iterations=iterations, ctx=ctx)
         _PLAN_MEMO.put(key, replace(result))
 
     if certify:
@@ -168,20 +138,14 @@ def optimize(query: ast.Query, stats: TableStats, max_plans: int = 400,
     return result
 
 
-# ---------------------------------------------------------------------------
-# Equality saturation
-# ---------------------------------------------------------------------------
-
 def _optimize_saturation(query: ast.Query, stats: TableStats, *,
                          max_plans: int, iterations: Optional[int],
-                         node_budget: Optional[int],
-                         ctx: Optional[AnalysisContext] = None
-                         ) -> PlanningResult:
+                         ctx: AnalysisContext) -> PlanningResult:
     defaults = SaturationBudget()
     budget = SaturationBudget(
         max_iterations=(iterations if iterations is not None
                         else defaults.max_iterations),
-        max_nodes=(node_budget if node_budget is not None else max_plans))
+        max_nodes=max_plans)
     egraph = EGraph()
     root = egraph.add_term(query)
     egraph.rebuild()
@@ -189,8 +153,7 @@ def _optimize_saturation(query: ast.Query, stats: TableStats, *,
     # consult the e-class analysis (and the analysis context seeded from
     # the caller's hypotheses), so e.g. ``DISTINCT q`` collapses onto
     # ``q`` only when the facts license it.
-    rules = ERULES + guarded_rules(
-        ctx if ctx is not None else AnalysisContext())
+    rules = ERULES + guarded_rules(ctx)
     sat_stats = saturate(egraph, rules=rules, budget=budget)
     extraction = extract_best(egraph, root, stats)
     origin_cost = plan_cost(query, stats)
@@ -209,49 +172,5 @@ def _optimize_saturation(query: ast.Query, stats: TableStats, *,
         original=query, best_plan=best_plan, original_cost=origin_cost,
         best_cost=best_cost,
         plans_explored=count_plans(egraph, root, PLAN_COUNT_LIMIT),
-        applied_rules=chain, certified=None,
-        strategy="saturation", saturation=sat_stats)
+        applied_rules=chain, certified=None, saturation=sat_stats)
 
-
-# ---------------------------------------------------------------------------
-# Breadth-first fallback (the historical Volcano path)
-# ---------------------------------------------------------------------------
-
-def _optimize_bfs(query: ast.Query, stats: TableStats, *,
-                  max_plans: int) -> PlanningResult:
-    origin_cost = plan_cost(query, stats)
-    seen: Set[ast.Query] = {query}
-    frontier: List[Tuple[ast.Query, Tuple[str, ...]]] = [(query, ())]
-    best_plan, best_cost, best_rules = query, origin_cost, ()
-    best_size = plan_size(query)
-    explored = 1
-
-    while frontier and explored < max_plans:
-        next_frontier: List[Tuple[ast.Query, Tuple[str, ...]]] = []
-        for plan, rules in frontier:
-            for candidate, rule in rewrites(plan):
-                if candidate in seen:
-                    continue
-                seen.add(candidate)
-                explored += 1
-                cost = plan_cost(candidate, stats)
-                chain = rules + (rule,)
-                size = plan_size(candidate)
-                # Equal-cost plans tie-break on syntactic size, so a
-                # simplification the cost model is blind to (dedup'd
-                # conjuncts, say) still wins over the bloated original.
-                if cost < best_cost or (cost == best_cost
-                                        and size < best_size):
-                    best_plan, best_cost, best_rules = candidate, cost, chain
-                    best_size = size
-                next_frontier.append((candidate, chain))
-                if explored >= max_plans:
-                    break
-            if explored >= max_plans:
-                break
-        frontier = next_frontier
-
-    return PlanningResult(
-        original=query, best_plan=best_plan, original_cost=origin_cost,
-        best_cost=best_cost, plans_explored=explored,
-        applied_rules=best_rules, certified=None, strategy="bfs")

@@ -1,36 +1,21 @@
-"""Plan rewriting with certified transformations.
+"""Path analysis for the certified rewrite rules.
 
 The paper's motivation (Sec. 1): optimizers enumerate plans by applying
-rewrite rules, and unsound rules ship wrong answers.  This module is the
-downstream consumer of the verified rule library — a small Volcano-style
-rewriter whose every transformation is an instance of a rule proved by the
-engine, and which can additionally re-certify any concrete rewrite it
-performs by calling the prover on the before/after pair.
-
-Each transformation takes a core query and yields ``(rewritten, rule
-name)`` candidates; :func:`rewrites` applies them at every subquery
-position.
-
-Two consumers share these transformations:
-
-* the ``strategy="bfs"`` fallback planner applies them term-at-a-time
-  through :func:`rewrites` (the historical Volcano path), and
-* the equality-saturation planner applies the *same* rules at every
-  e-class through :mod:`repro.optimizer.saturate`, which reuses the
-  path-analysis helpers exported here (:func:`predicate_paths`,
-  :func:`rewrite_predicate_paths`, :func:`flatten_conjuncts`) so the
-  two strategies can never drift apart on what a rule means.
+rewrite rules, and unsound rules ship wrong answers.  The planner's rules
+live in :mod:`repro.optimizer.saturate`, each an instance of a rule
+proved by the engine; selection pushdown needs to know which attribute
+paths a predicate dereferences and to re-root them below a product.
+This module holds those helpers (:func:`proj_steps`,
+:func:`predicate_paths`, :func:`rewrite_predicate_paths`) and the
+conjunct flattening (:func:`flatten_conjuncts`) the dedup and split
+rules share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..core import ast
-
-#: A rewrite candidate: the transformed query and the rule's name.
-Candidate = Tuple[ast.Query, str]
 
 
 # ---------------------------------------------------------------------------
@@ -69,17 +54,11 @@ def _proj_steps(proj: ast.Projection) -> Optional[Tuple[str, ...]]:
     return None
 
 
-def steps_to_proj(steps: Sequence[str]) -> ast.Projection:
-    """Rebuild a path projection from L/R steps."""
-    parts = [ast.LEFT if s == "L" else ast.RIGHT for s in steps]
-    return ast.path(*parts) if parts else ast.STAR
-
-
 def predicate_paths(pred: ast.Predicate) -> Optional[List[Tuple[str, ...]]]:
     """All attribute paths a predicate dereferences, or None if opaque.
 
     Opaque constructs (metavariables, EXISTS, casts) make pushdown analysis
-    unsound, so the rewriter conservatively refuses them.
+    unsound, so pushdown conservatively refuses them.
 
     Stash-memoized per interned node (callers only read the result); the
     stash stores ``(result,)`` so a cached ``None`` hits too.
@@ -167,7 +146,7 @@ def _rewrite_expression_paths(expr: ast.Expression,
             raise ValueError("opaque projection in pushdown rewrite")
         if steps[:len(old_prefix)] == old_prefix:
             steps = new_prefix + steps[len(old_prefix):]
-        return ast.P2E(steps_to_proj(steps), expr.ty)
+        return ast.P2E(ast.steps_to_proj(steps), expr.ty)
     if isinstance(expr, ast.Const):
         return expr
     if isinstance(expr, ast.Func):
@@ -175,71 +154,6 @@ def _rewrite_expression_paths(expr: ast.Expression,
             _rewrite_expression_paths(a, old_prefix, new_prefix)
             for a in expr.args), expr.ty)
     raise ValueError(f"cannot rewrite opaque expression {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# Transformations (each an instance of a verified rule)
-# ---------------------------------------------------------------------------
-
-def _split_where(query: ast.Query) -> Iterator[Candidate]:
-    """Where(q, b1 AND b2) → Where(Where(q, b1), b2)  [rule sel_split]."""
-    if isinstance(query, ast.Where) and isinstance(query.predicate,
-                                                   ast.PredAnd):
-        yield (ast.Where(ast.Where(query.query, query.predicate.left),
-                         query.predicate.right), "sel_split")
-        # The commuted order (an instance of sel_comm) lets either conjunct
-        # reach the operator below.
-        yield (ast.Where(ast.Where(query.query, query.predicate.right),
-                         query.predicate.left), "sel_split+sel_comm")
-
-
-def _merge_where(query: ast.Query) -> Iterator[Candidate]:
-    """Where(Where(q, b1), b2) → Where(q, b1 AND b2)  [sel_split, reversed]."""
-    if isinstance(query, ast.Where) and isinstance(query.query, ast.Where):
-        inner = query.query
-        yield (ast.Where(inner.query,
-                         ast.PredAnd(inner.predicate, query.predicate)),
-               "sel_split⁻¹")
-
-
-def _push_where_into_product(query: ast.Query) -> Iterator[Candidate]:
-    """σ_b(L × R) → σ'_b(L) × R when b touches only L  [selection pushdown].
-
-    The predicate lives in context ``node Γ (node σL σR)``; references into
-    the left operand start with the path R.L.  Pushing rewrites R.L→R.
-    Outer-context references (prefix L) also survive unchanged.
-    """
-    if not (isinstance(query, ast.Where)
-            and isinstance(query.query, ast.Product)):
-        return
-    paths = predicate_paths(query.predicate)
-    if paths is None:
-        return
-    product = query.query
-    if all(p[:2] == ("R", "L") or p[:1] == ("L",) for p in paths):
-        pushed = rewrite_predicate_paths(query.predicate, ("R", "L"), ("R",))
-        yield (ast.Product(ast.Where(product.left, pushed), product.right),
-               "sel_push_left")
-    if all(p[:2] == ("R", "R") or p[:1] == ("L",) for p in paths):
-        pushed = rewrite_predicate_paths(query.predicate, ("R", "R"), ("R",))
-        yield (ast.Product(product.left, ast.Where(product.right, pushed)),
-               "sel_push_right")
-
-
-def _push_where_below_union(query: ast.Query) -> Iterator[Candidate]:
-    """σ_b(A ∪ B) → σ_b(A) ∪ σ_b(B)  [rule sel_union_distr, Figure 1]."""
-    if isinstance(query, ast.Where) and isinstance(query.query, ast.UnionAll):
-        union = query.query
-        yield (ast.UnionAll(ast.Where(union.left, query.predicate),
-                            ast.Where(union.right, query.predicate)),
-               "sel_union_distr")
-
-
-def _collapse_distinct(query: ast.Query) -> Iterator[Candidate]:
-    """DISTINCT DISTINCT q → DISTINCT q  [rule distinct_idem]."""
-    if isinstance(query, ast.Distinct) and isinstance(query.query,
-                                                      ast.Distinct):
-        yield (query.query, "distinct_idem")
 
 
 def flatten_conjuncts(pred: ast.Predicate) -> List[ast.Predicate]:
@@ -257,128 +171,3 @@ def flatten_conjuncts(pred: ast.Predicate) -> List[ast.Predicate]:
         result = [pred]
     object.__setattr__(pred, "_hc_conj", result)
     return result
-
-
-def _dedup_conjuncts(query: ast.Query) -> Iterator[Candidate]:
-    """σ_{b ∧ b}(q) → σ_b(q)  [conjunct idempotence: b ∧ b ⇔ b].
-
-    Duplicate conjuncts arise from mechanical predicate assembly (ORMs,
-    view inlining, the rewriter's own merge step) and survive
-    ``optimize()`` verbatim without this rule; predicates are squashed
-    propositions, so repetition is semantically free but pollutes
-    decompiled SQL and double-counts selectivity estimates.
-    """
-    if not isinstance(query, ast.Where):
-        return
-    conjuncts = flatten_conjuncts(query.predicate)
-    unique = list(dict.fromkeys(conjuncts))
-    if len(unique) < len(conjuncts):
-        yield (ast.Where(query.query, ast.and_(*unique)),
-               "sel_conj_dedup")
-
-
-#: The transformation suite, in application order.
-TRANSFORMATIONS = (
-    _split_where,
-    _merge_where,
-    _push_where_into_product,
-    _push_where_below_union,
-    _collapse_distinct,
-    _dedup_conjuncts,
-)
-
-
-def rewrites(query: ast.Query) -> List[Candidate]:
-    """All single-step rewrites of ``query``, applied at every position.
-
-    Stash-memoized per interned node: the BFS frontier and rewrite
-    certification revisit the same (sub)plans constantly, and a plan's
-    one-step neighbourhood is a pure function of the plan.  Callers
-    iterate the result; they never mutate it.
-    """
-    cached = query.__dict__.get("_hc_rw")
-    if cached is not None:
-        return cached
-    out: List[Candidate] = []
-    for transform in TRANSFORMATIONS:
-        out.extend(transform(query))
-    for field_name, child in _child_queries(query):
-        for rewritten_child, rule in rewrites(child):
-            out.append((_replace_child(query, field_name, rewritten_child),
-                        rule))
-    object.__setattr__(query, "_hc_rw", out)
-    return out
-
-
-def _child_queries(query: ast.Query):
-    if isinstance(query, ast.Select):
-        yield "query", query.query
-    elif isinstance(query, ast.Product):
-        yield "left", query.left
-        yield "right", query.right
-    elif isinstance(query, ast.Where):
-        yield "query", query.query
-    elif isinstance(query, (ast.UnionAll, ast.Except)):
-        yield "left", query.left
-        yield "right", query.right
-    elif isinstance(query, ast.Distinct):
-        yield "query", query.query
-
-
-# ---------------------------------------------------------------------------
-# Pipeline-backed re-certification
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CertifiedCandidate:
-    """A rewrite candidate together with its verification verdict."""
-
-    query: ast.Query
-    rule: str
-    verdict: object  # repro.solver.Verdict (kept untyped: layering)
-
-    @property
-    def certified(self) -> bool:
-        return self.verdict.proved
-
-
-def certified_rewrites(query: ast.Query,
-                       pipeline=None) -> List[CertifiedCandidate]:
-    """All single-step rewrites of ``query``, each re-proved end to end.
-
-    Every candidate :func:`rewrites` emits is an instance of a rule the
-    engine has verified, so certification *should* never fail — this is
-    the belt-and-braces check the paper's motivation demands, now served
-    by the tiered pipeline so repeated shapes hit the proof cache.
-    Returns only the candidates whose re-proof succeeded.
-    """
-    if pipeline is None:
-        from ..solver.pipeline import default_pipeline
-        pipeline = default_pipeline()
-    out: List[CertifiedCandidate] = []
-    for candidate, rule in rewrites(query):
-        verdict = pipeline.check(query, candidate, prove_only=True)
-        if verdict.proved:
-            out.append(CertifiedCandidate(query=candidate, rule=rule,
-                                          verdict=verdict))
-    return out
-
-
-def _replace_child(query: ast.Query, field_name: str,
-                   child: ast.Query) -> ast.Query:
-    if isinstance(query, ast.Select):
-        return ast.Select(query.projection, child)
-    if isinstance(query, ast.Product):
-        return ast.Product(child, query.right) if field_name == "left" \
-            else ast.Product(query.left, child)
-    if isinstance(query, ast.Where):
-        return ast.Where(child, query.predicate)
-    if isinstance(query, ast.UnionAll):
-        return ast.UnionAll(child, query.right) if field_name == "left" \
-            else ast.UnionAll(query.left, child)
-    if isinstance(query, ast.Except):
-        return ast.Except(child, query.right) if field_name == "left" \
-            else ast.Except(query.left, child)
-    if isinstance(query, ast.Distinct):
-        return ast.Distinct(child)
-    raise TypeError(f"cannot rebuild query node {query!r}")

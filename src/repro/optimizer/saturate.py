@@ -1,12 +1,12 @@
 """Equality-saturation scheduler over the plan e-graph.
 
-Applies the certified rewrite suite of :mod:`repro.optimizer.rewriter` at
-*every e-class simultaneously* instead of one term at a time: each rule is
-re-expressed over e-nodes (children are e-class ids, so one application
-covers every plan sharing that subtree), matches are enumerated from a
-per-iteration index keyed on the root constructor (a rule matching
-``Where`` never scans ``Product`` nodes), and the e-graph is rebuilt once
-per iteration in egg's deferred style.
+Applies the certified rewrite suite at *every e-class simultaneously*
+instead of one term at a time: each rule is written over e-nodes
+(children are e-class ids, so one application covers every plan sharing
+that subtree), matches are enumerated from a per-iteration index keyed
+on the root constructor (a rule matching ``Where`` never scans
+``Product`` nodes), and the e-graph is rebuilt once per iteration in
+egg's deferred style.
 
 Matching is semi-naive.  What a rule can do at an e-node is a function
 of the node and of its child classes: their members, their members'
@@ -26,10 +26,10 @@ budgets are the search-space-expansion discipline the CHC literature uses
 to keep saturation tractable (PAPERS.md: dependence-disjoint expansions):
 an e-node budget bounds memory, an iteration budget bounds rule depth.
 
-Soundness story, unchanged from the BFS path: every union performed here
-is an instance of a rule the engine has verified, so any plan extracted
-from the root e-class is equivalent to the input — and the planner still
-re-certifies the winner end to end through the verification pipeline.
+Soundness story: every union performed here is an instance of a rule
+the engine has verified, so any plan extracted from the root e-class is
+equivalent to the input — and the planner still re-certifies the winner
+end to end through the verification pipeline.
 
 The match side of the selection rules — conjunct flattening,
 projection-path analysis, pushability — is a pure function of the
@@ -70,8 +70,8 @@ __all__ = ["ERule", "ERULES", "SaturationBudget", "SaturationStats",
 class SaturationBudget:
     """Stop conditions for the saturation loop.
 
-    ``max_nodes`` bounds the *total* e-nodes ever admitted (the e-graph
-    analogue of the BFS planner's ``max_plans``); ``max_iterations``
+    ``max_nodes`` bounds the *total* e-nodes ever admitted (the planner
+    sets it from ``optimize(max_plans=...)``); ``max_iterations``
     bounds rewrite depth — every iteration applies each rule at every
     class, so ``n`` iterations reach rule chains of length ``n``.
     """
@@ -145,7 +145,7 @@ def _pred_features(pred: ast.Predicate) -> Tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# The rewrite suite over e-nodes (same rules as rewriter.TRANSFORMATIONS)
+# The rewrite suite over e-nodes
 # ---------------------------------------------------------------------------
 
 def _fire(eg: EGraph, cid: int, new_cid: int, rule: str,
@@ -279,10 +279,11 @@ def _collapse_distinct(eg: EGraph, cid: int, node: ENode) -> int:
     return 0
 
 
-#: The e-rule suite — one entry per transformation family in
-#: ``rewriter.TRANSFORMATIONS``, indexed by root constructor.  Dedup
-#: runs first so a deduplicated filter is attributed to
-#: ``sel_conj_dedup`` rather than adopted as an anonymous split piece.
+#: The e-rule suite — one entry per transformation family (split, merge,
+#: pushdown through products and unions, DISTINCT collapse, conjunct
+#: dedup), indexed by root constructor.  Dedup runs first so a
+#: deduplicated filter is attributed to ``sel_conj_dedup`` rather than
+#: adopted as an anonymous split piece.
 ERULES: Tuple[ERule, ...] = (
     ERule("sel_conj_dedup", (ast.Where,), _dedup_conjuncts),
     ERule("sel_split", (ast.Where,), _split_where),

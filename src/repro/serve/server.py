@@ -83,6 +83,10 @@ _INFLIGHT = gauge("serve.inflight")
 #: How long a follower waits for its leader before giving up (seconds).
 FOLLOWER_TIMEOUT = 600.0
 
+#: Every field an ``optimize`` request may carry.
+_OPTIMIZE_FIELDS = frozenset(
+    ("op", "id", "sql", "tables", "rows", "max_plans", "certify"))
+
 
 class ServeError(ReproError):
     """Server-side request failure with a protocol error code."""
@@ -179,6 +183,10 @@ class ReproServer:
         self._compiled: Dict[Tuple[Tuple[str, ...], str], Any] = {}
         self._compiled_lock = threading.Lock()
         self._shutting_down = threading.Event()
+        #: whether the accept loop was entered; guarded by the lock so
+        #: shutdown and serve_forever agree on it.
+        self._serving = False
+        self._lifecycle_lock = threading.Lock()
         self._started = time.monotonic()
         self._serve_thread: Optional[threading.Thread] = None
         self._tcp = _TCPServer((host, port), _Handler, self)
@@ -188,6 +196,10 @@ class ReproServer:
 
     def serve_forever(self) -> None:
         """Block serving requests until :meth:`shutdown` is called."""
+        with self._lifecycle_lock:
+            if self._shutting_down.is_set():
+                return
+            self._serving = True
         _log.info("serving on %s:%d", *self.address)
         self._tcp.serve_forever(poll_interval=0.1)
 
@@ -201,10 +213,15 @@ class ReproServer:
 
     def shutdown(self, drain: bool = True) -> None:
         """Stop accepting, optionally drain in-flight work, close down."""
-        if self._shutting_down.is_set():
-            return
-        self._shutting_down.set()
-        self._tcp.shutdown()  # stops serve_forever; waits for its loop
+        with self._lifecycle_lock:
+            if self._shutting_down.is_set():
+                return
+            self._shutting_down.set()
+            serving = self._serving
+        if serving:
+            # Stops serve_forever and waits for its loop; with no loop
+            # ever entered there would be nothing to wait for, forever.
+            self._tcp.shutdown()
         self._executor.shutdown(wait=drain)
         self._tcp.server_close()
         if self._serve_thread is not None:
@@ -462,22 +479,33 @@ class ReproServer:
             raise ProtocolError("bad-request",
                                 '"rows" must be a {table: cardinality} '
                                 'object')
-        strategy = message.get("strategy", "saturation")
+        # NaN or a negative count would poison every cost comparison.
+        if not all(type(n) in (int, float) and 0 <= n < float("inf")
+                   for n in rows.values()):
+            raise ProtocolError("bad-request",
+                                '"rows" cardinalities must be finite '
+                                'JSON numbers >= 0')
+        unknown = sorted(set(message) - _OPTIMIZE_FIELDS)
+        if unknown:
+            raise ProtocolError(
+                "bad-request",
+                f"unknown optimize field(s) {', '.join(unknown)}: the "
+                f"planner is equality saturation only, and its budget "
+                f'is "max_plans"')
         max_plans = message.get("max_plans", 400)
-        if not isinstance(max_plans, int) or max_plans < 1:
+        if type(max_plans) is not int or max_plans < 1:
             raise ProtocolError("bad-request",
                                 '"max_plans" must be a positive integer')
+        certify = message.get("certify", True)
+        if not isinstance(certify, bool):
+            raise ProtocolError("bad-request",
+                                '"certify" must be a JSON boolean')
         catalog = self._request_catalog(message)
         q = compile_sql(sql, catalog).query
         started = time.perf_counter()
-        try:
-            stats = TableStats({str(k): float(v) for k, v in rows.items()})
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError("bad-request",
-                                f'bad "rows" cardinality: {exc}') from exc
-        result = optimize(q, stats, max_plans=max_plans,
-                          certify=bool(message.get("certify", True)),
-                          pipeline=self.pipeline, strategy=strategy)
+        stats = TableStats({str(k): float(n) for k, n in rows.items()})
+        result = optimize(q, stats, max_plans=max_plans, certify=certify,
+                          pipeline=self.pipeline)
         try:
             sql_out: Optional[str] = plan_to_sql(result.best_plan, catalog)
         except ReproError:
@@ -489,7 +517,6 @@ class ReproServer:
             "certified": result.certified,
             "applied_rules": list(result.applied_rules),
             "plans_explored": result.plans_explored,
-            "strategy": result.strategy,
             "sql": sql_out,
             "wall_seconds": time.perf_counter() - started,
         }

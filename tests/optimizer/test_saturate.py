@@ -1,6 +1,8 @@
 """Equality saturation: scheduler, budgets, extraction, provenance."""
 
 import pytest
+from bfs_reference import optimize_bfs
+from test_strategies_property import EQUAL_BUDGET, SVB_CORPUS, SVB_STATS
 
 from repro.core import ast
 from repro.core.equivalence import queries_equivalent
@@ -117,11 +119,16 @@ class TestExtraction:
 
     def test_matches_bfs_best_on_classic_workload(self, catalog):
         q = compile_sql(SEC513, catalog).query
-        bfs = optimize(q, STATS, max_plans=400, certify=False,
-                       strategy="bfs")
-        sat = optimize(q, STATS, max_plans=400, certify=False,
-                       strategy="saturation")
+        bfs = optimize_bfs(q, STATS, max_plans=400)
+        sat = optimize(q, STATS, max_plans=400, certify=False)
         assert sat.best_cost <= bfs.best_cost
+        # Equal or cheaper at an equal, tighter budget on every workload.
+        for sql in SVB_CORPUS:
+            q = compile_sql(sql, catalog).query
+            bfs = optimize_bfs(q, SVB_STATS, max_plans=EQUAL_BUDGET)
+            sat = optimize(q, SVB_STATS, max_plans=EQUAL_BUDGET,
+                           certify=False)
+            assert sat.best_cost <= bfs.best_cost + 1e-6, sql
 
     def test_duplicate_filter_stack_beats_greedy(self, catalog):
         # σ_b(A ∪ B) with a duplicated conjunct: the model-optimal plan
@@ -133,10 +140,8 @@ class TestExtraction:
             "SELECT u.eid FROM (SELECT eid FROM Emp UNION ALL "
             "SELECT eid FROM Emp) AS u WHERE u.eid = 1 AND u.eid = 1",
             catalog).query
-        bfs = optimize(q, STATS, max_plans=400, certify=False,
-                       strategy="bfs")
-        sat = optimize(q, STATS, max_plans=400, certify=False,
-                       strategy="saturation")
+        bfs = optimize_bfs(q, STATS, max_plans=400)
+        sat = optimize(q, STATS, max_plans=400, certify=False)
         assert sat.best_cost <= bfs.best_cost
 
 
@@ -150,28 +155,32 @@ class TestDeepChains:
     def test_saturation_finds_cheaper_plan_at_equal_budget(self, catalog):
         q = compile_sql(self.DEEP, catalog).query
         budget = 120
-        bfs = optimize(q, STATS, max_plans=budget, certify=False,
-                       strategy="bfs")
-        sat = optimize(q, STATS, max_plans=budget, certify=False,
-                       strategy="saturation")
+        bfs = optimize_bfs(q, STATS, max_plans=budget)
+        sat = optimize(q, STATS, max_plans=budget, certify=False)
         assert sat.best_cost < bfs.best_cost
         assert queries_equivalent(q, sat.best_plan)
 
     def test_deep_chain_in_rule_provenance(self, catalog):
         q = compile_sql(self.DEEP, catalog).query
-        sat = optimize(q, STATS, max_plans=400, certify=False,
-                       strategy="saturation")
+        sat = optimize(q, STATS, max_plans=400, certify=False)
         assert len(sat.applied_rules) >= 3
         assert any(r.startswith("sel_push") for r in sat.applied_rules)
 
     def test_explores_more_distinct_plans_than_bfs(self, catalog):
         q = compile_sql(self.DEEP, catalog).query
         budget = 120
-        bfs = optimize(q, STATS, max_plans=budget, certify=False,
-                       strategy="bfs")
-        sat = optimize(q, STATS, max_plans=budget, certify=False,
-                       strategy="saturation")
+        bfs = optimize_bfs(q, STATS, max_plans=budget)
+        sat = optimize(q, STATS, max_plans=budget, certify=False)
         assert sat.plans_explored >= 2 * bfs.plans_explored
+        # And in aggregate over the workload corpus.
+        sat_total = bfs_total = 0
+        for sql in SVB_CORPUS:
+            q = compile_sql(sql, catalog).query
+            bfs_total += optimize_bfs(q, SVB_STATS,
+                                      max_plans=EQUAL_BUDGET).plans_explored
+            sat_total += optimize(q, SVB_STATS, max_plans=EQUAL_BUDGET,
+                                  certify=False).plans_explored
+        assert sat_total >= 2 * bfs_total
 
 
 class TestPlanCounting:
@@ -204,21 +213,8 @@ class TestPlannerIntegration:
     def test_default_strategy_is_saturation(self, catalog):
         q = compile_sql(SEC513, catalog).query
         result = optimize(q, STATS, certify=False)
-        assert result.strategy == "saturation"
         assert result.saturation is not None
         assert result.saturated
-
-    def test_bfs_fallback_unchanged_contract(self, catalog):
-        q = compile_sql(SEC513, catalog).query
-        result = optimize(q, STATS, certify=False, strategy="bfs")
-        assert result.strategy == "bfs"
-        assert result.saturation is None
-        assert result.improved
-
-    def test_unknown_strategy_rejected(self, catalog):
-        q = compile_sql(SEC513, catalog).query
-        with pytest.raises(ValueError, match="unknown strategy"):
-            optimize(q, STATS, strategy="dfs")
 
     def test_certification_through_pipeline(self, catalog):
         q = compile_sql(SEC513, catalog).query

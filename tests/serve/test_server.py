@@ -1,5 +1,6 @@
 """The serve daemon: ops, in-flight dedup, cross-process warm serving."""
 
+import json
 import threading
 import time
 
@@ -77,6 +78,70 @@ class TestOps:
         for _ in range(3):
             assert client.ping() is True
             assert client.check(Q1, Q1).proved
+
+
+class TestOptimizeFields:
+    """A malformed ``optimize`` field gets ``bad-request``, not a silent
+    coercion or an internal error, and the daemon keeps answering."""
+
+    SQL = "SELECT a FROM (SELECT a, b FROM R WHERE a = 1) AS s"
+
+    def _ask(self, server, **fields):
+        line = json.dumps({"op": "optimize", "sql": self.SQL,
+                           "tables": TABLES, **fields})
+        return server.handle_request_line(line.encode())
+
+    def _assert_rejected(self, server, fragment, **fields):
+        response = self._ask(server, **fields)
+        assert not response["ok"]
+        assert response["error"]["code"] == "bad-request"
+        assert fragment in response["error"]["message"]
+        after = self._ask(server, certify=False)
+        assert after["ok"] and after["result"]["certified"] is None
+
+    def test_strategy_field_is_rejected(self, server):
+        self._assert_rejected(server, "equality saturation only",
+                              strategy="nope")
+
+    def test_certify_must_be_a_json_boolean(self, server):
+        self._assert_rejected(server, '"certify" must be a JSON boolean',
+                              certify="false")
+
+    def test_max_plans_must_not_be_a_bool(self, server):
+        self._assert_rejected(server, '"max_plans" must be a positive',
+                              max_plans=True)
+
+    @pytest.mark.parametrize("rows", [{"R": float("nan")}, {"R": -5},
+                                      {"R": float("inf")}, {"R": "12"}],
+                             ids=["nan", "negative", "inf", "string"])
+    def test_rows_must_be_finite_numbers(self, server, rows):
+        self._assert_rejected(server, '"rows" cardinalities must be finite',
+                              rows=rows)
+
+
+class TestShutdown:
+    @staticmethod
+    def _shutdown_returns(server):
+        stopper = threading.Thread(target=server.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5.0)
+        return not stopper.is_alive()
+
+    def test_shutdown_without_start_returns(self):
+        server = ReproServer(port=0, tables=TABLES)
+        assert server.handle_request_line(b'{"op": "ping"}')["ok"]
+        assert self._shutdown_returns(server)
+
+    def test_shutdown_after_start_returns(self):
+        server = ReproServer(port=0, tables=TABLES).start()
+        with ServeClient(server.address) as cli:
+            assert cli.ping() is True
+        assert self._shutdown_returns(server)
+
+    def test_start_after_shutdown_does_not_serve(self):
+        server = ReproServer(port=0, tables=TABLES)
+        assert self._shutdown_returns(server)
+        server.serve_forever()  # returns at once: the server is closed
 
 
 class TestInflightDedup:

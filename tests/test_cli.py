@@ -182,19 +182,11 @@ class TestOptimizeCommand:
         code = main(self.WORKLOAD)
         assert code == 0
         out = capsys.readouterr().out
-        assert "strategy           : saturation" in out
         assert "rewrite chain" in out
         assert "prover certificate : VERIFIED" in out
         assert "Scan Emp" in out
         # The pushed-down filter sits below the join in the cost tree.
         assert "sel_push" in out
-
-    def test_bfs_strategy_flag(self, capsys):
-        code = main(self.WORKLOAD + ["--strategy", "bfs"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "strategy           : bfs" in out
-        assert "plans enumerated" in out
 
     def test_sql_out_renders_plan(self, capsys):
         code = main(self.WORKLOAD + ["--sql-out"])
@@ -207,14 +199,14 @@ class TestOptimizeCommand:
         assert "prover certificate : skipped" in capsys.readouterr().out
 
     def test_budget_knobs(self, capsys):
-        code = main(self.WORKLOAD + ["--node-budget", "50",
+        code = main(self.WORKLOAD + ["--max-plans", "50",
                                      "--iterations", "2"])
         assert code == 0
 
     @pytest.mark.parametrize("bad", [
         ["--max-plans", "0"],
         ["--iterations", "0"],
-        ["--node-budget", "-3"],
+        ["--max-plans", "-3"],
         ["--rows", "Emp"],
         ["--rows", "Emp=lots"],
         ["--rows", "Emp=-5"],
